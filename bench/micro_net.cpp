@@ -14,8 +14,8 @@
 //
 // The same source builds against the pre-reactor transport when
 // VINE_BENCH_LEGACY_SEND is defined (no send_blob_file, no push-mode
-// receivers): that is how the baseline numbers in tools/bench.sh were
-// measured — see the re-baselining note there.
+// receivers, pull-mode accept()): that is how the baseline numbers in
+// tools/bench.sh were measured — see the re-baselining note there.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -34,6 +34,7 @@
 #include "net/frame.hpp"
 #include "net/tcp.hpp"
 #ifndef VINE_BENCH_LEGACY_SEND
+#include "net/msg_queue.hpp"
 #include "net/reactor.hpp"
 #endif
 
@@ -58,12 +59,48 @@ vine::Status send_file_frame(Endpoint& ep, const std::string& tag,
 #endif
 }
 
+/// A loopback listener; connect() returns an established {client, server}
+/// pair. Accepted connections arrive through the listener's acceptor on
+/// the reactor transport, through pull-mode accept() on the legacy one.
+struct Loopback {
+#ifndef VINE_BENCH_LEGACY_SEND
+  std::shared_ptr<vine::MsgQueue<std::unique_ptr<Endpoint>>> accepted =
+      std::make_shared<vine::MsgQueue<std::unique_ptr<Endpoint>>>();
+#endif
+  std::unique_ptr<Listener> listener;
+
+  Loopback() {
+#ifndef VINE_BENCH_LEGACY_SEND
+    auto l = vine::tcp_listen(0, [q = accepted](std::unique_ptr<Endpoint> ep) {
+      q->push(std::move(ep));
+    });
+#else
+    auto l = vine::tcp_listen(0);
+#endif
+    if (!l.ok()) std::abort();
+    listener = std::move(*l);
+  }
+
+  std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>> connect() {
+    auto c = vine::tcp_connect(listener->address(), 5000ms);
+    if (!c.ok()) std::abort();
+#ifndef VINE_BENCH_LEGACY_SEND
+    auto s = accepted->pop(5000ms);
+    if (!s) std::abort();
+#else
+    auto s = listener->accept(5000ms);
+    if (!s.ok()) std::abort();
+#endif
+    return {std::move(*c), std::move(*s)};
+  }
+};
+
 /// N established loopback connection pairs with a frame counter on the
 /// serving side: receiver callbacks on the reactor transport, one recv
-/// thread per connection on transports without push delivery (which is
-/// precisely the baseline's thread-per-connection model).
+/// thread per connection on the legacy one (which is precisely the
+/// baseline's thread-per-connection model).
 struct NetRig {
-  std::unique_ptr<Listener> listener;
+  Loopback net;
   std::vector<std::unique_ptr<Endpoint>> clients;
   std::vector<std::unique_ptr<Endpoint>> servers;
   std::vector<std::thread> readers;
@@ -73,35 +110,27 @@ struct NetRig {
   std::condition_variable done_cv;
 
   explicit NetRig(int conns) {
-    auto l = vine::tcp_listen(0);
-    if (!l.ok()) std::abort();
-    listener = std::move(*l);
     for (int i = 0; i < conns; ++i) {
-      auto c = vine::tcp_connect(listener->address(), 5000ms);
-      auto s = listener->accept(5000ms);
-      if (!c.ok() || !s.ok()) std::abort();
-      clients.push_back(std::move(*c));
-      servers.push_back(std::move(*s));
+      auto [client, server] = net.connect();
+      clients.push_back(std::move(client));
+      servers.push_back(std::move(server));
       Endpoint* ep = servers.back().get();
 #ifndef VINE_BENCH_LEGACY_SEND
-      const bool push_mode = ep->set_receiver([this](vine::Result<Frame> f) {
+      ep->set_receiver([this](vine::Result<Frame> f) {
         if (f.ok()) count_one();
       });
 #else
-      const bool push_mode = false;  // pre-reactor Endpoint: pull-only
-#endif
-      if (!push_mode) {
-        readers.emplace_back([this, ep] {
-          while (true) {
-            auto f = ep->recv(200ms);
-            if (f.ok()) {
-              count_one();
-            } else if (f.error().code != vine::Errc::timeout) {
-              return;
-            }
+      readers.emplace_back([this, ep] {
+        while (true) {
+          auto f = ep->recv(200ms);
+          if (f.ok()) {
+            count_one();
+          } else if (f.error().code != vine::Errc::timeout) {
+            return;
           }
-        });
-      }
+        }
+      });
+#endif
     }
   }
 
@@ -175,21 +204,19 @@ void blob_serve_loop(benchmark::State& state) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  auto listener = vine::tcp_listen(0);
-  auto client = vine::tcp_connect((*listener)->address(), 5000ms);
-  auto server = (*listener)->accept(5000ms);
-  if (!client.ok() || !server.ok()) std::abort();
+  Loopback net;
+  auto [client, server] = net.connect();
 
   for (auto _ : state) {
     // Send from a helper thread: the legacy transport's send_blob is a
     // blocking write that outgrows the loopback socket buffer, so sender
     // and receiver must run concurrently (the reactor just enqueues).
     std::thread sender([&] {
-      if (!send_file_frame(**server, "blob", path.string(), kBlobSize).ok()) {
+      if (!send_file_frame(*server, "blob", path.string(), kBlobSize).ok()) {
         std::abort();
       }
     });
-    auto got = (*client)->recv(30000ms);
+    auto got = client->recv(30000ms);
     if (!got.ok() || got->data.size() != kBlobSize) std::abort();
     sender.join();
   }

@@ -96,11 +96,15 @@ void Manager::emit_counters() {
 Manager::~Manager() { shutdown(); }
 
 Status Manager::start() {
+  auto on_accept = [this](std::unique_ptr<Endpoint> ep) {
+    add_connection(std::move(ep));
+  };
   if (config_.listen.empty()) {
     VINE_TRY(listener_, ChannelFabric::instance().listen(
-                            "mgr-" + config_.name + "-" + generate_token(6)));
+                            "mgr-" + config_.name + "-" + generate_token(6),
+                            on_accept));
   } else if (config_.listen == "tcp") {
-    VINE_TRY(listener_, tcp_listen(0));
+    VINE_TRY(listener_, tcp_listen(0, on_accept));
     // Data-plane gauges, summed over the reactor shards at snapshot time.
     // Only wired up when this manager actually runs the TCP transport —
     // touching the pool would otherwise spin up reactor threads for
@@ -124,58 +128,33 @@ Status Manager::start() {
     metrics_.expose_fn("net.conns_open",
                        [] { return ReactorPool::instance().stats().conns_open; });
   } else if (config_.listen.rfind("chan:", 0) == 0) {
-    VINE_TRY(listener_, ChannelFabric::instance().listen(config_.listen.substr(5)));
+    VINE_TRY(listener_, ChannelFabric::instance().listen(
+                            config_.listen.substr(5), on_accept));
   } else {
     return Error{Errc::invalid_argument, "bad listen spec: " + config_.listen};
   }
   address_ = listener_->address();
-  acceptor_ = std::thread([this] { accept_loop(); });
   VINE_LOG_INFO("manager", "%s listening on %s", config_.name.c_str(),
                 address_.c_str());
   return Status::success();
 }
 
-void Manager::accept_loop() {
-  while (!stopping_.load()) {
-    auto ep = listener_->accept(200ms);
-    if (!ep.ok()) {
-      if (ep.error().code == Errc::timeout) continue;
-      return;
-    }
-    MutexLock lock(conn_mutex_);
-    std::string conn_id = "c" + std::to_string(next_conn_++);
-    auto conn = std::make_unique<Connection>();
-    conn->conn_id = conn_id;
-    conn->endpoint = std::shared_ptr<Endpoint>(std::move(*ep));
-    // Receiver-capable transports (TCP reactor) push frames into the inbox
-    // straight from the event loop: no reader thread per worker. The
-    // error delivery is the connection's death notice — same event the
-    // legacy reader loop emits when recv fails. Transports without
-    // receiver support keep the thread.
-    if (!conn->endpoint->set_receiver([this, conn_id](Result<Frame> frame) {
-          if (frame.ok()) {
-            inbox_.push(Event{conn_id, std::move(*frame), false});
-          } else {
-            inbox_.push(Event{conn_id, {}, true});
-          }
-        })) {
-      conn->reader = std::thread(
-          [this, conn_id, ep2 = conn->endpoint] { reader_loop(conn_id, ep2); });
-    }
-    connections_.emplace(conn_id, std::move(conn));
-  }
-}
-
-void Manager::reader_loop(const std::string& conn_id, std::shared_ptr<Endpoint> ep) {
-  while (!stopping_.load()) {
-    auto frame = ep->recv(200ms);
-    if (!frame.ok()) {
-      if (frame.error().code == Errc::timeout) continue;
+void Manager::add_connection(std::unique_ptr<Endpoint> ep) {
+  MutexLock lock(conn_mutex_);
+  std::string conn_id = "c" + std::to_string(next_conn_++);
+  auto conn = std::make_unique<Connection>();
+  conn->conn_id = conn_id;
+  conn->endpoint = std::shared_ptr<Endpoint>(std::move(ep));
+  // Frames go straight into the inbox from the transport's delivery
+  // thread; the terminal error is the connection's death notice.
+  conn->endpoint->set_receiver([this, conn_id](Result<Frame> frame) {
+    if (frame.ok()) {
+      inbox_.push(Event{conn_id, std::move(*frame), false});
+    } else {
       inbox_.push(Event{conn_id, {}, true});
-      return;
     }
-    inbox_.push(Event{conn_id, std::move(*frame), false});
-  }
+  });
+  connections_.emplace(conn_id, std::move(conn));
 }
 
 // ------------------------------------------------------------ declarations
@@ -508,23 +487,19 @@ void Manager::shutdown() {
   for (const auto& [worker_id, w] : workers_) {
     (void)w.endpoint->send_json(proto::encode(proto::AnyMessage(proto::ShutdownMsg{})));
   }
+  // After close() returns no connection can be added behind our back.
   if (listener_) listener_->close();
-  if (acceptor_.joinable()) acceptor_.join();
   inbox_.close();
 
-  // Extract the connections under the lock, then close and join outside
-  // it: a reader can take up to a recv timeout to notice the close, and
-  // join under conn_mutex_ is a blocking call under a lock (the same rule
-  // handle_worker_lost already follows).
+  // Extract the connections under the lock, then close and drop them
+  // outside it: a TCP endpoint's teardown waits for the reactor thread,
+  // which takes conn_mutex_ to register new connections.
   std::map<std::string, std::unique_ptr<Connection>> conns;
   {
     MutexLock lock(conn_mutex_);
     conns.swap(connections_);
   }
-  for (auto& [_, conn] : conns) {
-    conn->endpoint->close();
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  for (auto& [_, conn] : conns) conn->endpoint->close();
 }
 
 // ------------------------------------------------------------ pumping
@@ -933,10 +908,9 @@ void Manager::handle_library_ready(const WorkerId& worker,
 }
 
 void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
-  // Extract the connection under the lock, but join the reader thread
-  // outside it: the reader may take up to a recv timeout to notice the
-  // close, and holding conn_mutex_ across that would stall the acceptor
-  // and every event being resolved in the meantime.
+  // Extract the connection under the lock and release it outside: a TCP
+  // endpoint's teardown waits for the reactor thread, which takes
+  // conn_mutex_ to register new connections.
   std::unique_ptr<Connection> conn;
   {
     MutexLock lock(conn_mutex_);
@@ -946,7 +920,6 @@ void Manager::handle_worker_lost(const std::string& conn_id, bool evicted) {
     connections_.erase(it);
   }
   conn->endpoint->close();
-  if (conn->reader.joinable()) conn->reader.join();
   const WorkerId worker = conn->worker_id;
   if (worker.empty()) return;  // never said hello
 

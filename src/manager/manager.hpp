@@ -8,14 +8,13 @@
 // inside the application process.
 //
 // Thread contract: the Manager API must be used from one thread (the
-// application's). Internal reader threads only enqueue events.
+// application's). Transport callbacks only enqueue events.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "catalog/replica_table.hpp"
@@ -239,7 +238,6 @@ class Manager {
   struct Connection {
     std::string conn_id;
     std::shared_ptr<Endpoint> endpoint;
-    std::thread reader;
     WorkerId worker_id;  ///< "" until hello
   };
 
@@ -328,8 +326,9 @@ class Manager {
 
   // --- helpers ---
   FileRef register_file(std::shared_ptr<FileDecl> decl);
-  void accept_loop();
-  void reader_loop(const std::string& conn_id, std::shared_ptr<Endpoint> ep);
+  /// Listener acceptor: register `ep` and route its frames to the inbox.
+  /// Runs on the transport's accept thread and never blocks.
+  void add_connection(std::unique_ptr<Endpoint> ep);
   /// Run audit() and abort on violation when audits_enabled() (debug builds).
   void maybe_audit(const char* where) const;
 
@@ -346,14 +345,14 @@ class Manager {
   SteadyClock clock_;
   Scheduler scheduler_;
 
-  // Guards connections_ and next_conn_ (shared with accept/reader threads);
-  // all other workflow state below is application-thread-only. Reader
-  // joins always run on Connections extracted from the map first — a join
-  // under this lock would stall the acceptor and every event in flight.
+  // Guards connections_ and next_conn_ (shared with the acceptor, which
+  // runs on the transport's accept thread); all other workflow state below
+  // is application-thread-only. Endpoints are closed and dropped only after
+  // being extracted from the map: a TCP endpoint's teardown waits for the
+  // reactor thread, which may itself be waiting here to add a connection.
   Mutex conn_mutex_{lock_rank::Rank::manager_connections};
   std::map<std::string, std::unique_ptr<Connection>> connections_
       VINE_GUARDED_BY(conn_mutex_);
-  std::thread acceptor_;
   std::atomic<bool> stopping_{false};
 
   MsgQueue<Event> inbox_;

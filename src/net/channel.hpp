@@ -1,8 +1,9 @@
-// In-process transport. A ChannelEndpoint pair shares two frame queues; a
-// ChannelListener registers a name in the process-global ChannelFabric so
-// "chan:NAME" addresses resolve, letting a whole cluster (manager, workers,
-// peer transfers) run inside a single test process with the exact same code
-// paths as the TCP deployment.
+// In-process transport. A ChannelEndpoint pair shares two inboxes, one per
+// direction; send() delivers straight into the peer's receiver on the
+// sending thread. A ChannelListener registers a name in the process-global
+// ChannelFabric so "chan:NAME" addresses resolve, letting a whole cluster
+// (manager, workers, peer transfers) run inside a single test process with
+// the exact same code paths as the TCP deployment.
 #pragma once
 
 #include <map>
@@ -11,7 +12,6 @@
 
 #include "common/mutex.hpp"
 #include "net/frame.hpp"
-#include "net/msg_queue.hpp"
 
 namespace vine {
 
@@ -25,21 +25,25 @@ class ChannelFabric {
  public:
   static ChannelFabric& instance();
 
-  /// Create a listener bound to "chan:NAME". Fails if the name is taken.
-  Result<std::unique_ptr<Listener>> listen(const std::string& name);
+  /// Create a listener bound to "chan:NAME" whose connections go to
+  /// `on_accept`, called on the connecting thread. Fails if the name is
+  /// taken.
+  Result<std::unique_ptr<Listener>> listen(const std::string& name,
+                                           Listener::AcceptFn on_accept);
 
-  /// Connect to a registered listener.
+  /// Connect to a registered listener; its acceptor has taken the server
+  /// end by the time this returns.
   Result<std::unique_ptr<Endpoint>> connect(const std::string& address,
                                             std::chrono::milliseconds timeout);
 
   /// Implementation detail shared with the listener (public because the
   /// listener lives in an unnamed namespace in the .cpp).
-  struct PendingQueue;
+  struct Port;
 
  private:
   // Guards listeners_ (listen/connect/close arrive from arbitrary threads).
   Mutex mutex_{lock_rank::Rank::channel_fabric};
-  std::map<std::string, std::shared_ptr<PendingQueue>> listeners_
+  std::map<std::string, std::shared_ptr<Port>> listeners_
       VINE_GUARDED_BY(mutex_);
 };
 

@@ -1,8 +1,10 @@
 #include "net/frame.hpp"
 
 #include <fstream>
+#include <optional>
 
 #include "net/channel.hpp"
+#include "net/msg_queue.hpp"
 #include "net/tcp.hpp"
 
 namespace vine {
@@ -54,6 +56,25 @@ Status Endpoint::send_blob_file(const std::string& tag, const std::string& path,
     return Error{Errc::io_error, "short read serving " + path};
   }
   return send_blob(tag, std::move(data));
+}
+
+/// Frames (and finally the terminal error) pushed by the receiver that
+/// the first recv() installs.
+struct Endpoint::PullQueue {
+  MsgQueue<Result<Frame>> frames;
+  std::optional<Error> terminal;  ///< recv()-thread only, once popped
+};
+
+Result<Frame> Endpoint::recv(std::chrono::milliseconds timeout) {
+  if (!pull_) {
+    pull_ = std::make_shared<PullQueue>();
+    set_receiver([q = pull_](Result<Frame> f) { q->frames.push(std::move(f)); });
+  }
+  if (pull_->terminal) return *pull_->terminal;
+  auto f = pull_->frames.pop(timeout);
+  if (!f) return Error{Errc::timeout, "recv timeout from " + peer_name()};
+  if (!f->ok()) pull_->terminal = f->error();
+  return std::move(*f);
 }
 
 Result<Frame> decode_frame_view(char kind, std::string_view payload) {

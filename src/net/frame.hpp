@@ -83,12 +83,29 @@ class Endpoint {
   /// Send a frame; blocks until handed to the transport.
   virtual Status send(Frame frame) = 0;
 
-  /// Receive the next frame, waiting up to `timeout`.
-  /// Errc::timeout when nothing arrived; Errc::unavailable when the peer
-  /// closed the connection.
-  virtual Result<Frame> recv(std::chrono::milliseconds timeout) = 0;
+  /// Install the delivery callback. Every inbound frame is pushed to `fn`
+  /// in arrival order — per sender, in send order — followed by exactly one
+  /// terminal error (Errc::unavailable on close by either end, Errc::timeout
+  /// on a mid-frame stall) after which `fn` is never called again. Frames
+  /// that arrived before the call are drained to `fn` first, in order,
+  /// before set_receiver returns. Install at most once.
+  ///
+  /// `fn` runs on the transport's delivery thread — the reactor thread on
+  /// TCP, the sending thread on in-process channels — under the endpoint's
+  /// delivery lock, so it must not block and must not call back into this
+  /// endpoint. It is never invoked after close() returns.
+  virtual void set_receiver(std::function<void(Result<Frame>)> fn) = 0;
 
-  /// Close the connection; unblocks any receiver with Errc::unavailable.
+  /// Pull adapter over set_receiver for callers that want a blocking read
+  /// (worker control loop, peer fetches, tests): the first call installs a
+  /// receiver feeding an internal queue, so an endpoint is read either by
+  /// recv() or by its own receiver, never both. Waits up to `timeout`;
+  /// Errc::timeout when nothing arrived, otherwise the next frame or the
+  /// terminal error (repeated on every later call).
+  Result<Frame> recv(std::chrono::milliseconds timeout);
+
+  /// Close the connection. Both ends' receivers get their terminal error;
+  /// no receiver callback runs on this endpoint after close() returns.
   virtual void close() = 0;
 
   /// Stable printable identity of the remote end (address or channel name).
@@ -100,17 +117,6 @@ class Endpoint {
   /// receiving thread. Transports without a mid-frame window (in-process
   /// channels deliver whole frames) ignore it.
   virtual void set_io_timeout(std::chrono::milliseconds) {}
-
-  /// Push-mode delivery: install `fn` to be invoked for every inbound frame
-  /// (and once, finally, with the terminal error) instead of pulling frames
-  /// via recv(). Frames already buffered are drained to `fn` in order before
-  /// it returns. Returns false on transports without push delivery (the
-  /// in-process channel); callers must then fall back to a recv() thread.
-  /// `fn` runs on the transport's event thread and must not block.
-  virtual bool set_receiver(std::function<void(Result<Frame>)> fn) {
-    (void)fn;
-    return false;
-  }
 
   /// Send a blob frame whose payload is the contents of `path` (`size`
   /// bytes). The TCP transport streams the file zero-copy via sendfile;
@@ -124,20 +130,29 @@ class Endpoint {
   Status send_blob(std::string tag, std::string data) {
     return send(Frame::make_blob(std::move(tag), std::move(data)));
   }
+
+ private:
+  struct PullQueue;  ///< recv()'s queue; created by its first call
+  std::shared_ptr<PullQueue> pull_;
 };
 
 /// Accepts incoming connections (the manager's worker port and each
-/// worker's peer-transfer port).
+/// worker's peer-transfer port). The acceptor is fixed when the listener is
+/// created (tcp_listen, ChannelFabric::listen), so no connection can arrive
+/// before there is someone to take it.
 class Listener {
  public:
-  virtual ~Listener() = default;
+  /// Receives each accepted connection. Runs on the reactor thread (TCP) or
+  /// on the connecting thread (channels); must not block. Never invoked
+  /// after close() returns.
+  using AcceptFn = std::function<void(std::unique_ptr<Endpoint>)>;
 
-  /// Wait up to `timeout` for a connection. Errc::timeout when none.
-  virtual Result<std::unique_ptr<Endpoint>> accept(std::chrono::milliseconds timeout) = 0;
+  virtual ~Listener() = default;
 
   /// Address peers can connect to ("127.0.0.1:9123" or "chan:worker-3").
   virtual std::string address() const = 0;
 
+  /// Stop accepting. Waits out an acceptor call already in flight.
   virtual void close() = 0;
 };
 

@@ -1,7 +1,8 @@
 // Thread-safe message queue with blocking/timeout pop. The manager and each
-// worker own one inbox; reader/executor/transfer threads push events into
-// it, and a single consumer thread drains it — the concurrency pattern used
-// throughout the real runtime (message passing, no shared mutable state).
+// worker own one inbox; transport receiver callbacks and executor/transfer
+// threads push events into it, and a single consumer thread drains it — the
+// concurrency pattern used throughout the real runtime (message passing, no
+// shared mutable state).
 //
 // Concurrency: mutex_ ranks msg_queue — the innermost data lock — so no
 // other vine lock may be acquired while holding it, and pop() (which blocks

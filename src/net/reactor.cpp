@@ -369,11 +369,7 @@ void Reactor::do_accept(ReactorListener* l) {
     auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
         shard, cfd, std::move(peer), /*connecting=*/false));
     shard->enqueue(Op{Op::Kind::add_conn, c, nullptr});
-    if (!l->pending_.push(c)) {
-      // Listener closed while we were accepting: tear the conn down.
-      c->close();
-      c->reactor_->enqueue(Op{Op::Kind::del_conn, c, nullptr});
-    }
+    l->on_accept_(std::move(c));
   }
 }
 
@@ -801,28 +797,6 @@ Status ReactorConn::send_file(const std::string& tag, const std::string& path,
   return Status::success();
 }
 
-Result<Frame> ReactorConn::recv_frame(std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  UniqueLock lock(mu_);
-  for (;;) {
-    if (!rx_.empty()) {
-      Frame f = std::move(rx_.front());
-      rx_.pop_front();
-      return f;
-    }
-    if (dead_) return death_;
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      if (!rx_.empty()) {
-        Frame f = std::move(rx_.front());
-        rx_.pop_front();
-        return f;
-      }
-      if (dead_) return death_;
-      return Error{Errc::timeout, "recv timeout from " + peer_};
-    }
-  }
-}
-
 void ReactorConn::set_receiver(std::function<void(Result<Frame>)> fn) {
   MutexLock lock(mu_);
   while (!rx_.empty()) {
@@ -841,17 +815,6 @@ void ReactorConn::set_io_timeout(std::chrono::milliseconds t) {
                        std::memory_order_relaxed);
 }
 
-void ReactorConn::deliver(Frame f) {
-  MutexLock lock(mu_);
-  if (dead_) return;
-  if (receiver_) {
-    receiver_(std::move(f));
-    return;
-  }
-  rx_.push_back(std::move(f));
-  cv_.notify_all();
-}
-
 void ReactorConn::deliver_batch(std::vector<Frame>& frames) {
   if (frames.empty()) return;
   {
@@ -861,7 +824,6 @@ void ReactorConn::deliver_batch(std::vector<Frame>& frames) {
         for (Frame& f : frames) receiver_(std::move(f));
       } else {
         for (Frame& f : frames) rx_.push_back(std::move(f));
-        cv_.notify_all();
       }
     }
   }
@@ -887,25 +849,7 @@ void ReactorConn::die(Error err) {
 }
 
 void ReactorConn::close() {
-  {
-    MutexLock lock(mu_);
-    if (closed_) return;
-    closed_ = true;
-    if (!dead_) {
-      dead_ = true;
-      death_ = Error{Errc::unavailable, "closed: " + peer_};
-      for (auto& ch : out_) {
-        close_fd(ch.file_fd);
-      }
-      out_.clear();
-      out_bytes_ = 0;
-      if (receiver_ && !death_notified_) {
-        death_notified_ = true;
-        receiver_(death_);
-      }
-    }
-    cv_.notify_all();
-  }
+  die(Error{Errc::unavailable, "closed: " + peer_});
   // Wake the reactor's read side: it observes EOF/reset and deregisters.
   // The fd itself stays open until destruction so no in-flight reactor
   // operation can race a recycled descriptor number.
@@ -951,46 +895,29 @@ void ReactorConn::request_flush() {
 // ReactorListener
 
 ReactorListener::ReactorListener(std::shared_ptr<Reactor> reactor, int fd,
-                                 std::string address)
-    : reactor_(std::move(reactor)), fd_(fd), address_(std::move(address)) {}
+                                 std::string address, AcceptFn on_accept)
+    : reactor_(std::move(reactor)),
+      fd_(fd),
+      address_(std::move(address)),
+      on_accept_(std::move(on_accept)) {}
 
 ReactorListener::~ReactorListener() {
   close();
-  if (reactor_->on_this_thread()) {
-    reactor_->remove_listener_now(this);
-  } else {
-    reactor_->enqueue(
-        Reactor::Op{Reactor::Op::Kind::del_listener, nullptr, this});
-    UniqueLock lock(mu_);
-    while (!released_) cv_.wait(lock);
-  }
   ::close(fd_);
-}
-
-Result<ConnPtr> ReactorListener::accept(std::chrono::milliseconds timeout) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Error{Errc::unavailable, "listener closed"};
-  }
-  auto c = pending_.pop(timeout);
-  if (!c) {
-    if (closed_.load(std::memory_order_relaxed) || pending_.closed()) {
-      return Error{Errc::unavailable, "listener closed"};
-    }
-    return Error{Errc::timeout, "accept timeout"};
-  }
-  return std::move(*c);
 }
 
 void ReactorListener::close() {
   if (closed_.exchange(true)) return;
   shutdown_fd(fd_);
-  pending_.close();
-  // Tear down accepted-but-unclaimed connections; nobody will own them.
-  while (auto c = pending_.try_pop()) {
-    (*c)->close();
-    (*c)->reactor_->enqueue(
-        Reactor::Op{Reactor::Op::Kind::del_conn, *c, nullptr});
+  // Deregister synchronously: do_accept runs only on the loop thread, so
+  // once the loop has dropped the listener no accept callback can follow.
+  if (reactor_->on_this_thread()) {
+    reactor_->remove_listener_now(this);
+    return;
   }
+  reactor_->enqueue(Reactor::Op{Reactor::Op::Kind::del_listener, nullptr, this});
+  UniqueLock lock(mu_);
+  while (!released_) cv_.wait(lock);
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,11 +964,11 @@ ConnPtr ReactorPool::adopt_connecting(int fd, std::string peer,
   return c;
 }
 
-std::shared_ptr<ReactorListener> ReactorPool::listen(int fd,
-                                                     std::string address) {
+std::shared_ptr<ReactorListener> ReactorPool::listen(
+    int fd, std::string address, ReactorListener::AcceptFn on_accept) {
   auto shard = next_shard();
   std::shared_ptr<ReactorListener> l(new ReactorListener(
-      shard, fd, std::move(address)));
+      shard, fd, std::move(address), std::move(on_accept)));
   shard->enqueue(
       Reactor::Op{Reactor::Op::Kind::add_listener, nullptr, l.get()});
   return l;

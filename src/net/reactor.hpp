@@ -8,8 +8,8 @@
 //     offsets, progress deadline) is confined to the reactor thread — no
 //     lock. Per wakeup the reactor drains the socket into the buffer and
 //     decodes every complete frame it holds (batched decode), delivering
-//     each either to an installed receiver callback or to the connection's
-//     rx queue for pull-mode recv().
+//     them to the installed receiver callback (frames that beat
+//     set_receiver wait in a small backlog and are drained first).
 //
 //   * Write side. send_frame() never touches the socket: it encodes the
 //     5-byte header (+ blob tag prefix) into a recycled per-connection
@@ -28,7 +28,8 @@
 // Lock order: Reactor::ops_mu_ (rank net_reactor) < ReactorConn::mu_ (rank
 // endpoint_send) < MsgQueue internals (rank msg_queue). Senders lock the
 // two former sequentially, never nested. Frame delivery runs under the
-// connection mutex and may push into a MsgQueue (ascending ranks).
+// connection mutex and may push into a MsgQueue (ascending ranks). Accept
+// callbacks run on the reactor thread with no reactor lock held.
 #pragma once
 
 #include <atomic>
@@ -44,7 +45,6 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/frame.hpp"
-#include "net/msg_queue.hpp"
 
 namespace vine {
 
@@ -74,9 +74,9 @@ struct ReactorStats {
 bool sendfile_enabled();
 void set_sendfile_enabled(bool on);
 
-/// One TCP connection owned by a Reactor. App threads use the send/recv
-/// API; the reactor thread runs the read state machine and all socket I/O.
-/// Obtain via ReactorPool (adopt/connect/listener accept), never directly.
+/// One TCP connection owned by a Reactor. App threads send and install the
+/// receiver; the reactor thread runs the read state machine and all socket
+/// I/O. Obtain via ReactorPool (adopt/connect/listener), never directly.
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
   ~ReactorConn();
@@ -91,11 +91,7 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   Status send_file(const std::string& tag, const std::string& path,
                    std::uint64_t size);
 
-  /// Pull-mode receive (single consumer). Errc::timeout when nothing
-  /// arrived in `timeout`; otherwise the frame or the terminal error.
-  Result<Frame> recv_frame(std::chrono::milliseconds timeout);
-
-  /// Switch to push-mode delivery (see Endpoint::set_receiver).
+  /// Install the delivery callback (see Endpoint::set_receiver).
   void set_receiver(std::function<void(Result<Frame>)> fn);
 
   /// Mid-frame progress window (see Endpoint::set_io_timeout).
@@ -122,9 +118,6 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   friend class ReactorPool;
   ReactorConn(std::shared_ptr<Reactor> reactor, int fd, std::string peer,
               bool connecting);
-
-  /// Deliver a decoded frame (reactor thread).
-  void deliver(Frame f);
 
   /// Deliver a batch of decoded frames under one lock acquisition
   /// (reactor thread); consumes and clears `frames`.
@@ -177,40 +170,39 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   };
 
   // Guards the cross-thread half of the connection: the write queue,
-  // inbound frame queue, receiver callback, and lifecycle flags below.
+  // receiver backlog, receiver callback, and lifecycle flags below.
   // Senders hold it to enqueue; the reactor thread holds it in
-  // flush_writes and while delivering frames. cv_ signals rx_ arrivals,
-  // backpressure headroom, connect completion, and release.
+  // flush_writes and while delivering frames. cv_ signals backpressure
+  // headroom, connect completion, and release.
   mutable Mutex mu_{lock_rank::Rank::endpoint_send};
   CondVar cv_;
   std::deque<OutChunk> out_ VINE_GUARDED_BY(mu_);
   std::size_t out_bytes_ VINE_GUARDED_BY(mu_) = 0;
   /// Recycled head buffers (capacity reuse kills the per-frame allocation).
   std::vector<std::string> spare_heads_ VINE_GUARDED_BY(mu_);
-  /// Frames decoded before a receiver was installed (pull mode).
+  /// Frames decoded before a receiver was installed.
   std::deque<Frame> rx_ VINE_GUARDED_BY(mu_);
   std::function<void(Result<Frame>)> receiver_ VINE_GUARDED_BY(mu_);
   bool connected_flag_ VINE_GUARDED_BY(mu_) = false;
   bool dead_ VINE_GUARDED_BY(mu_) = false;   ///< terminal error recorded
   Error death_ VINE_GUARDED_BY(mu_);         ///< valid once dead_
   bool death_notified_ VINE_GUARDED_BY(mu_) = false; ///< receiver_ told
-  bool closed_ VINE_GUARDED_BY(mu_) = false; ///< close() called locally
   bool released_ VINE_GUARDED_BY(mu_) = false; ///< reactor dropped its ref
 };
 
 /// A non-blocking listening socket owned by a Reactor. Accepted connections
-/// are registered (round-robin across shards) and queued for accept().
+/// are registered (round-robin across shards) and handed to the accept
+/// callback on this listener's reactor thread.
 class ReactorListener {
  public:
+  using AcceptFn = std::function<void(ConnPtr)>;
+
   ~ReactorListener();
   ReactorListener(const ReactorListener&) = delete;
   ReactorListener& operator=(const ReactorListener&) = delete;
 
-  /// Wait up to `timeout` for an accepted connection. Errc::timeout when
-  /// none; Errc::unavailable once closed.
-  Result<ConnPtr> accept(std::chrono::milliseconds timeout);
-
-  /// Stop accepting; pending queued connections are torn down.
+  /// Stop accepting and deregister from the reactor: once this returns the
+  /// accept callback never runs again. Idempotent.
   void close();
 
   const std::string& address() const { return address_; }
@@ -219,15 +211,15 @@ class ReactorListener {
   friend class Reactor;
   friend class ReactorPool;
   ReactorListener(std::shared_ptr<Reactor> reactor, int fd,
-                  std::string address);
+                  std::string address, AcceptFn on_accept);
 
   const std::shared_ptr<Reactor> reactor_;
   const int fd_;
   const std::string address_;
+  const AcceptFn on_accept_;  ///< reactor thread only
   bool registered_ = false;  ///< reactor-thread-confined
   std::atomic<bool> closed_{false};
-  MsgQueue<ConnPtr> pending_;  ///< accepted, not yet claimed
-  // Guards released_ only: the dtor's deregistration handshake with the
+  // Guards released_ only: close()'s deregistration handshake with the
   // reactor thread (cv_ signals when the loop has dropped the listener).
   Mutex mu_{lock_rank::Rank::endpoint_send};
   CondVar cv_;
@@ -250,8 +242,10 @@ class ReactorPool {
   ConnPtr adopt_connecting(int fd, std::string peer,
                            std::chrono::milliseconds timeout);
 
-  /// Own a listening socket (made non-blocking by the caller).
-  std::shared_ptr<ReactorListener> listen(int fd, std::string address);
+  /// Own a listening socket (made non-blocking by the caller); accepted
+  /// connections go to `on_accept` on the reactor thread.
+  std::shared_ptr<ReactorListener> listen(int fd, std::string address,
+                                          ReactorListener::AcceptFn on_accept);
 
   ReactorStats stats() const;
 

@@ -40,13 +40,8 @@ class TcpEndpoint final : public Endpoint {
 
   Status send(Frame frame) override { return conn_->send_frame(std::move(frame)); }
 
-  Result<Frame> recv(std::chrono::milliseconds timeout) override {
-    return conn_->recv_frame(timeout);
-  }
-
-  bool set_receiver(std::function<void(Result<Frame>)> fn) override {
+  void set_receiver(std::function<void(Result<Frame>)> fn) override {
     conn_->set_receiver(std::move(fn));
-    return true;
   }
 
   Status send_blob_file(const std::string& tag, const std::string& path,
@@ -73,11 +68,6 @@ class TcpListener final : public Listener {
 
   ~TcpListener() override { lst_->close(); }
 
-  Result<std::unique_ptr<Endpoint>> accept(std::chrono::milliseconds timeout) override {
-    VINE_TRY(ConnPtr c, lst_->accept(timeout));
-    return std::unique_ptr<Endpoint>(new TcpEndpoint(std::move(c)));
-  }
-
   std::string address() const override { return lst_->address(); }
 
   void close() override { lst_->close(); }
@@ -88,7 +78,8 @@ class TcpListener final : public Listener {
 
 }  // namespace
 
-Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port) {
+Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port,
+                                             Listener::AcceptFn on_accept) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Error{Errc::io_error, errno_text("socket")};
   int one = 1;
@@ -112,7 +103,10 @@ Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port) {
     return Error{Errc::io_error, errno_text("getsockname")};
   }
   std::string address = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
-  auto lst = ReactorPool::instance().listen(fd, address);
+  auto lst = ReactorPool::instance().listen(
+      fd, address, [fn = std::move(on_accept)](ConnPtr c) {
+        fn(std::make_unique<TcpEndpoint>(std::move(c)));
+      });
   return std::unique_ptr<Listener>(new TcpListener(std::move(lst)));
 }
 

@@ -11,7 +11,9 @@
 namespace vine {
 
 /// Listen on 127.0.0.1:`port` (port 0 picks a free port; see address()).
-Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port);
+/// Accepted connections go to `on_accept` on the reactor thread.
+Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port,
+                                             Listener::AcceptFn on_accept);
 
 /// Connect to "host:port".
 Result<std::unique_ptr<Endpoint>> tcp_connect(const std::string& address,

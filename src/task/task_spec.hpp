@@ -87,7 +87,10 @@ struct TaskReport {
   std::string worker_id;     ///< where the final attempt ran
   int attempts = 0;
 
-  // Timeline (seconds on the manager clock).
+  // Timeline, in seconds. submitted_at/dispatched_at are on the manager's
+  // SteadyClock; started_at/finished_at are stamped by the worker on its own
+  // SteadyClock, so only their difference (the run time) is comparable with
+  // the manager-side stamps.
   double submitted_at = 0;
   double dispatched_at = 0;
   double started_at = 0;

@@ -38,21 +38,23 @@ Result<std::unique_ptr<Worker>> Worker::connect(WorkerConfig config) {
 
 Status Worker::init_and_register() {
   // Peer transfer service.
+  auto on_accept = [this](std::unique_ptr<Endpoint> ep) {
+    accept_peer(std::move(ep));
+  };
   if (config_.tcp_transfer_service) {
-    VINE_TRY(transfer_listener_, tcp_listen(0));
+    VINE_TRY(transfer_listener_, tcp_listen(0, on_accept));
   } else {
     VINE_TRY(transfer_listener_,
-             ChannelFabric::instance().listen("xfer-" + config_.id + "-" +
-                                              generate_token(6)));
+             ChannelFabric::instance().listen(
+                 "xfer-" + config_.id + "-" + generate_token(6), on_accept));
   }
   transfer_addr_ = transfer_listener_->address();
-  // Serve pool: drains GETs pushed by receiver-driven peer connections.
-  // Sends are enqueue-only on the reactor, so a handful of threads covers
-  // any number of peers (the old model burned one thread per connection).
+  // Serve pool: drains GETs pushed by every peer connection's receiver.
+  // Answering one only hands bytes to the transport, so a handful of
+  // threads covers any number of peers (no thread per connection).
   for (int i = 0; i < 4; ++i) {
     serve_pool_.emplace_back([this] { serve_pool_main(); });
   }
-  transfer_server_ = std::thread([this] { transfer_server_main(); });
 
   // Transfer pool.
   for (int i = 0; i < std::max(1, config_.max_concurrent_transfers); ++i) {
@@ -122,15 +124,14 @@ void Worker::stop() {
     if (t.joinable()) t.join();
   }
   transfer_pool_.clear();
-  if (transfer_server_.joinable()) transfer_server_.join();
   serve_jobs_.close();
   for (auto& t : serve_pool_) {
     if (t.joinable()) t.join();
   }
   serve_pool_.clear();
-  // Drop the receiver-driven peer connections with the map swapped out:
-  // each endpoint dtor synchronously deregisters from the reactor, which
-  // must never happen under our lock.
+  // Drop the peer connections with the map swapped out: a TCP endpoint dtor
+  // synchronously deregisters from the reactor, whose accept callback takes
+  // our lock. The listener is closed, so none can be added any more.
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> peers_to_drop;
   {
     MutexLock lock(threads_mutex_);
@@ -160,14 +161,6 @@ void Worker::stop() {
     to_join.swap(task_threads_);
   }
   for (auto& t : to_join) {
-    if (t.joinable()) t.join();
-  }
-  std::vector<std::thread> peers;
-  {
-    MutexLock lock(threads_mutex_);
-    peers.swap(peer_threads_);
-  }
-  for (auto& t : peers) {
     if (t.joinable()) t.join();
   }
   // All internal threads are quiescent; the cache must match the disk.
@@ -660,34 +653,21 @@ void Worker::handle_end_workflow() {
 
 // ------------------------------------------------------------ peers
 
-void Worker::transfer_server_main() {
-  while (!stopping_.load()) {
-    auto accepted = transfer_listener_->accept(200ms);
-    if (!accepted.ok()) {
-      if (accepted.error().code == Errc::timeout) continue;
-      return;  // listener closed
-    }
-    std::shared_ptr<Endpoint> peer(std::move(*accepted));
-    const std::uint64_t id = next_peer_id_.fetch_add(1);
-    // Receiver-capable transports (TCP reactor) push frames to the serve
-    // pool: no thread per connection. The callback runs on the reactor
-    // thread and must only enqueue; it captures the id, never the
-    // endpoint, so there is no ownership cycle through the connection.
-    // Register before installing the receiver — the first GET can land on
-    // the pool the instant the callback is in place.
-    {
-      MutexLock lock(threads_mutex_);
-      serve_peers_.emplace(id, peer);
-    }
-    if (!peer->set_receiver([this, id](Result<Frame> frame) {
-          serve_jobs_.push(ServeJob{id, std::move(frame)});
-        })) {
-      MutexLock lock(threads_mutex_);
-      serve_peers_.erase(id);
-      peer_threads_.emplace_back(
-          [this, p = std::move(peer)] { serve_peer(p); });
-    }
+void Worker::accept_peer(std::unique_ptr<Endpoint> ep) {
+  std::shared_ptr<Endpoint> peer(std::move(ep));
+  const std::uint64_t id = next_peer_id_.fetch_add(1);
+  // The receiver only enqueues (it runs on the reactor thread or the
+  // requester's thread); it captures the id, never the endpoint, so there
+  // is no ownership cycle through the connection. Register before
+  // installing it — the first GET can land on the pool the instant the
+  // callback is in place.
+  {
+    MutexLock lock(threads_mutex_);
+    serve_peers_.emplace(id, peer);
   }
+  peer->set_receiver([this, id](Result<Frame> frame) {
+    serve_jobs_.push(ServeJob{id, std::move(frame)});
+  });
 }
 
 void Worker::serve_pool_main() {
@@ -701,58 +681,32 @@ void Worker::serve_pool_main() {
     {
       MutexLock lock(threads_mutex_);
       auto it = serve_peers_.find(job->peer_id);
-      if (it != serve_peers_.end()) peer = it->second;
-    }
-    if (!peer) continue;  // already dropped; late frame loses the race
-    if (!job->frame.ok()) {
+      if (it == serve_peers_.end()) continue;  // dropped by stop()
+      peer = it->second;
       // Death notification — the connection closed, timed out, or broke.
-      // It is always the receiver's last delivery for this id, so dropping
-      // our reference here leaks nothing. Destruction happens outside the
-      // lock: the endpoint dtor deregisters from the reactor.
-      std::shared_ptr<Endpoint> doomed;
-      {
-        MutexLock lock(threads_mutex_);
-        auto it = serve_peers_.find(job->peer_id);
-        if (it != serve_peers_.end()) {
-          doomed = std::move(it->second);
-          serve_peers_.erase(it);
-        }
-      }
-      peer.reset();
-      doomed.reset();
-      continue;
+      // It is always the receiver's last delivery for this id.
+      if (!job->frame.ok()) serve_peers_.erase(it);
     }
+    // The last reference may go here, outside the lock: the endpoint dtor
+    // deregisters from the reactor.
+    if (!job->frame.ok()) continue;
     if (job->frame->kind != Frame::Kind::json) continue;
     auto msg = proto::decode(job->frame->msg);
     if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) continue;
-    // A false return means serve_get closed the connection; the reactor
-    // then delivers the death notification and the branch above cleans up.
+    // If serve_get closes the connection, the transport delivers the death
+    // notification and the branch above cleans up.
     serve_get(*peer, std::get<proto::GetMsg>(*msg));
   }
 }
 
-void Worker::serve_peer(const std::shared_ptr<Endpoint>& peer) {
-  while (!stopping_.load()) {
-    auto frame = peer->recv(200ms);
-    if (!frame.ok()) {
-      if (frame.error().code == Errc::timeout) continue;
-      return;  // peer closed
-    }
-    if (frame->kind != Frame::Kind::json) continue;
-    auto msg = proto::decode(frame->msg);
-    if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) continue;
-    if (!serve_get(*peer, std::get<proto::GetMsg>(*msg))) return;
-  }
-}
-
-bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
+void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
   faults::WorkerFaults* flt = config_.faults.get();
   if (flt && faults::WorkerFaults::take(flt->fail_peer_serves)) {
     // Injected peer failure: drop the connection without answering, as a
     // crashing server would. The requester sees a closed/timeout error.
     flt->injected.fetch_add(1);
     peer.close();
-    return false;
+    return;
   }
 
   proto::ObjMsg obj;
@@ -762,7 +716,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
     obj.ok = false;
     obj.error = info.error().to_string();
     peer.send_json(proto::encode(obj));
-    return true;
+    return;
   }
   const bool stall = flt && faults::WorkerFaults::take(flt->stall_peer_serves);
   // A stalled serve never ships its blob, so it must not consume a
@@ -785,7 +739,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
       obj.ok = false;
       obj.error = data.error().to_string();
       peer.send_json(proto::encode(obj));
-      return true;
+      return;
     }
     staged = std::move(data->first);
     obj.is_dir = data->second;
@@ -810,7 +764,7 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
       std::this_thread::sleep_for(10ms);
     }
     peer.close();
-    return false;
+    return;
   }
 
   peer.send_json(proto::encode(obj));
@@ -825,12 +779,10 @@ bool Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
                     config_.id.c_str(), get.cache_name.c_str(),
                     st.error().message.c_str());
       peer.close();
-      return false;
     }
   } else {
     peer.send_blob(get.cache_name, std::move(staged));
   }
-  return true;
 }
 
 }  // namespace vine

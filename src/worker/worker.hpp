@@ -161,12 +161,13 @@ class Worker {
   void invoke_function_call(const proto::WireTask& task);
 
   // --- peer transfer service ---
-  void transfer_server_main();
-  void serve_peer(const std::shared_ptr<Endpoint>& peer);
+  /// Listener acceptor: register a peer connection and route its frames
+  /// to the serve pool. Runs on the transport's accept thread.
+  void accept_peer(std::unique_ptr<Endpoint> ep);
   /// Answer one GET on a peer connection (fault injection, digest
-  /// attestation, zero-copy blob send). Returns false when the connection
-  /// was dropped and serving must stop.
-  bool serve_get(Endpoint& peer, const proto::GetMsg& get);
+  /// attestation, zero-copy blob send). Closes the connection when the
+  /// answer cannot be completed.
+  void serve_get(Endpoint& peer, const proto::GetMsg& get);
   void serve_pool_main();
 
   WorkerConfig config_;
@@ -179,14 +180,11 @@ class Worker {
 
   MsgQueue<TransferJob> transfer_jobs_;
   std::vector<std::thread> transfer_pool_;
-  std::thread transfer_server_;
 
-  // Event-driven peer serving (TCP transport): endpoints that support
-  // receiver callbacks push each inbound frame — and finally the death
+  // Event-driven peer serving, both transports: each peer connection's
+  // receiver pushes every inbound frame — and finally the death
   // notification — into serve_jobs_ as {peer_id, frame}; a small fixed
-  // pool drains it. One pool serves every peer connection, replacing the
-  // old thread-per-peer model. Transports without receiver support
-  // (in-process channels) keep a legacy serve_peer thread instead.
+  // pool drains it. No thread is created per peer connection.
   struct ServeJob {
     std::uint64_t peer_id = 0;
     Result<Frame> frame;
@@ -195,16 +193,15 @@ class Worker {
   std::vector<std::thread> serve_pool_;
   std::atomic<std::uint64_t> next_peer_id_{1};
 
-  // Guards task_threads_ and peer_threads_ (appended by the main loop and
-  // the transfer server, drained by stop()) and serve_peers_. Joins and
-  // endpoint destruction happen with the containers swapped out, never
-  // under the lock (an Endpoint dtor deregisters from the reactor).
+  // Guards task_threads_ (appended by the main loop, drained by stop())
+  // and serve_peers_ (filled by accept_peer). Joins and endpoint
+  // destruction happen with the containers swapped out, never under the
+  // lock (an Endpoint dtor deregisters from the reactor, whose accept
+  // callback takes this lock).
   Mutex threads_mutex_{lock_rank::Rank::worker_threads};
   // running task executions
   std::vector<std::thread> task_threads_ VINE_GUARDED_BY(threads_mutex_);
-  // per-peer-connection servers
-  std::vector<std::thread> peer_threads_ VINE_GUARDED_BY(threads_mutex_);
-  // receiver-driven peer connections, keyed by their serve-job id
+  // peer connections, keyed by their serve-job id
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> serve_peers_
       VINE_GUARDED_BY(threads_mutex_);
 

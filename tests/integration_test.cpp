@@ -8,6 +8,7 @@
 #include "core/taskvine.hpp"
 #include "fsutil/fsutil.hpp"
 #include "hash/digest.hpp"
+#include "net/reactor.hpp"
 
 namespace vine {
 namespace {
@@ -619,6 +620,75 @@ TEST(Integration, IdenticalMiniTasksShareOneMaterialization) {
   }
   EXPECT_EQ(m.stats().mini_tasks_run, 1);  // materialized once, shared
 }
+
+// ------------------------------------------------------- thread budget
+
+int thread_count() {
+  int n = 0;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// Poll until the process holds `want` threads (exiting task threads take a
+/// moment to leave /proc) or `timeout` passes; returns the last count.
+int settled_thread_count(int want, std::chrono::milliseconds timeout = 5000ms) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int n = thread_count();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+    n = thread_count();
+  }
+  return n;
+}
+
+/// An idle cluster holds only each worker's fixed threads — control loop,
+/// serve pool, transfer pool — and no thread per connection, on either
+/// transport; a peer-transfer workload leaves it at the same count.
+void check_thread_budget(bool tcp) {
+  LocalClusterConfig cfg;
+  cfg.workers = 4;
+  if (tcp) {
+    cfg.manager.listen = "tcp";
+    cfg.tweak_worker = [](WorkerConfig& wc) { wc.tcp_transfer_service = true; };
+    // The reactor is process-wide and started on first use; count it in
+    // the baseline so only the cluster's own threads are measured.
+    ReactorPool::instance();
+  }
+  const int before = thread_count();
+  auto cluster = LocalCluster::create(cfg);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const int idle =
+      before + cfg.workers * (1 + 4 + cfg.max_concurrent_transfers_per_worker);
+  EXPECT_EQ(settled_thread_count(idle), idle);
+
+  // One temp produced on w0, read by consumers on every other worker.
+  Manager& m = (*cluster)->manager();
+  auto temp = m.declare_temp();
+  ASSERT_TRUE(m.submit(TaskBuilder("printf shared > t.txt")
+                           .output(temp, "t.txt")
+                           .pin_to_worker("w0")
+                           .build())
+                  .ok());
+  for (int i = 1; i < cfg.workers; ++i) {
+    ASSERT_TRUE(m.submit(TaskBuilder("cat t.txt")
+                             .input(temp, "t.txt")
+                             .pin_to_worker("w" + std::to_string(i))
+                             .build())
+                    .ok());
+  }
+  auto reports = drain(m);
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(cfg.workers));
+  for (auto& [_, r] : reports) EXPECT_TRUE(r.ok()) << r.error_message;
+  EXPECT_GE(m.stats().transfers_from_peers, 1);
+  EXPECT_EQ(settled_thread_count(idle), idle);
+}
+
+TEST(Integration, IdleClusterThreadBudgetChannels) { check_thread_budget(false); }
+
+TEST(Integration, IdleClusterThreadBudgetTcp) { check_thread_budget(true); }
 
 }  // namespace
 }  // namespace vine

@@ -7,10 +7,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "accept_queue.hpp"
 #include "common/uuid.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
@@ -169,32 +175,72 @@ TEST(FrameTest, EmptyBlobAllowed) {
 // The same behavioural suite runs over both transports.
 enum class TransportKind { channel, tcp };
 
+Result<std::unique_ptr<Listener>> listen_on(TransportKind kind,
+                                            Listener::AcceptFn on_accept) {
+  if (kind == TransportKind::channel) {
+    return ChannelFabric::instance().listen("test-" + generate_token(8),
+                                            std::move(on_accept));
+  }
+  return tcp_listen(0, std::move(on_accept));
+}
+
+/// Records everything a receiver callback is handed. Declare it before the
+/// endpoints it observes: an endpoint's teardown may still deliver the
+/// terminal error to it.
+struct Collector {
+  std::mutex mu;  // guards frames/errors; cv signals each delivery
+  std::condition_variable cv;
+  std::vector<Frame> frames;
+  std::vector<Error> errors;
+
+  std::function<void(Result<Frame>)> receiver() {
+    return [this](Result<Frame> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (r.ok()) {
+        frames.push_back(std::move(r).value());
+      } else {
+        errors.push_back(r.error());
+      }
+      cv.notify_all();
+    };
+  }
+
+  /// Wait until `frames` and `errors` reach the given sizes.
+  bool wait_for(std::size_t n_frames, std::size_t n_errors,
+                std::chrono::milliseconds timeout = 5000ms) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, timeout, [&] {
+      return frames.size() >= n_frames && errors.size() >= n_errors;
+    });
+  }
+
+  std::size_t error_count() {
+    std::lock_guard<std::mutex> lock(mu);
+    return errors.size();
+  }
+};
+
+Frame numbered(int sender, int seq) {
+  return Frame::make_json(json::Value(
+      json::Object{{"s", json::Value(sender)}, {"i", json::Value(seq)}}));
+}
+
 class TransportTest : public ::testing::TestWithParam<TransportKind> {
  protected:
   void SetUp() override {
-    if (GetParam() == TransportKind::channel) {
-      auto lr = ChannelFabric::instance().listen("test-" + generate_token(8));
-      ASSERT_TRUE(lr.ok());
-      listener_ = std::move(*lr);
-    } else {
-      auto lr = tcp_listen(0);
-      ASSERT_TRUE(lr.ok());
-      listener_ = std::move(*lr);
-    }
+    auto lr = listen_on(GetParam(), accepted_.acceptor());
+    ASSERT_TRUE(lr.ok());
+    listener_ = std::move(*lr);
   }
 
   std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>> connect_pair() {
-    std::unique_ptr<Endpoint> client, server;
-    std::thread t([&] {
-      auto s = listener_->accept(2000ms);
-      if (s.ok()) server = std::move(*s);
-    });
     auto c = connect_to(listener_->address(), 2000ms);
-    t.join();
     EXPECT_TRUE(c.ok()) << (c.ok() ? "" : c.error().to_string());
-    return {std::move(*c), std::move(server)};
+    if (!c.ok()) return {};
+    return {std::move(*c), accepted_.next(2000ms)};
   }
 
+  AcceptQueue accepted_;
   std::unique_ptr<Listener> listener_;
 };
 
@@ -285,22 +331,8 @@ TEST_P(TransportTest, SendAfterPeerCloseFails) {
   EXPECT_TRUE(failed);
 }
 
-TEST_P(TransportTest, AcceptTimesOut) {
-  auto r = listener_->accept(50ms);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Errc::timeout);
-}
-
 TEST_P(TransportTest, MultipleClients) {
   constexpr int kClients = 5;
-  std::vector<std::unique_ptr<Endpoint>> servers;
-  std::thread acceptor([&] {
-    for (int i = 0; i < kClients; ++i) {
-      auto s = listener_->accept(2000ms);
-      ASSERT_TRUE(s.ok());
-      servers.push_back(std::move(*s));
-    }
-  });
   std::vector<std::unique_ptr<Endpoint>> clients;
   for (int i = 0; i < kClients; ++i) {
     auto c = connect_to(listener_->address(), 2000ms);
@@ -308,7 +340,11 @@ TEST_P(TransportTest, MultipleClients) {
     (*c)->send_json(json::Value(json::Object{{"id", json::Value(i)}}));
     clients.push_back(std::move(*c));
   }
-  acceptor.join();
+  std::vector<std::unique_ptr<Endpoint>> servers;
+  for (int i = 0; i < kClients; ++i) {
+    servers.push_back(accepted_.next(2000ms));
+    ASSERT_TRUE(servers.back());
+  }
   std::vector<bool> seen(kClients, false);
   for (auto& s : servers) {
     auto f = s->recv(2000ms);
@@ -316,6 +352,160 @@ TEST_P(TransportTest, MultipleClients) {
     seen[static_cast<std::size_t>(f->msg.get_int("id"))] = true;
   }
   for (bool b : seen) EXPECT_TRUE(b);
+}
+
+// ------------------------------------------------------- push contract
+
+TEST_P(TransportTest, ConcurrentSendersArriveInPerSenderOrder) {
+  constexpr int kSenders = 4;
+  constexpr int kFrames = 1000;
+  Collector col;
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  server->set_receiver(col.receiver());
+
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      for (int i = 0; i < kFrames; ++i) {
+        ASSERT_TRUE(client->send(numbered(s, i)).ok());
+      }
+    });
+  }
+  for (auto& t : senders) t.join();
+  ASSERT_TRUE(col.wait_for(kSenders * kFrames, 0, 10000ms));
+
+  std::lock_guard<std::mutex> lock(col.mu);
+  EXPECT_EQ(col.frames.size(), static_cast<std::size_t>(kSenders * kFrames));
+  std::vector<int> next(kSenders, 0);
+  for (const Frame& f : col.frames) {
+    const auto s = static_cast<std::size_t>(f.msg.get_int("s"));
+    ASSERT_LT(s, next.size());
+    ASSERT_EQ(f.msg.get_int("i"), next[s]) << "sender " << s;
+    ++next[s];
+  }
+  EXPECT_TRUE(col.errors.empty());
+}
+
+TEST_P(TransportTest, FramesBeforeReceiverAreDrainedFirstInOrder) {
+  constexpr int kEarly = 100;
+  Collector col;
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  for (int i = 0; i < kEarly; ++i) ASSERT_TRUE(client->send(numbered(0, i)).ok());
+  // Let the TCP reactor read them into the backlog; channels buffer them
+  // synchronously.
+  std::this_thread::sleep_for(100ms);
+  server->set_receiver(col.receiver());
+  for (int i = kEarly; i < 2 * kEarly; ++i) {
+    ASSERT_TRUE(client->send(numbered(0, i)).ok());
+  }
+  ASSERT_TRUE(col.wait_for(2 * kEarly, 0));
+
+  std::lock_guard<std::mutex> lock(col.mu);
+  ASSERT_EQ(col.frames.size(), static_cast<std::size_t>(2 * kEarly));
+  for (int i = 0; i < 2 * kEarly; ++i) {
+    EXPECT_EQ(col.frames[static_cast<std::size_t>(i)].msg.get_int("i"), i);
+  }
+}
+
+TEST_P(TransportTest, TerminalErrorOnceOnLocalClose) {
+  Collector col;
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  server->set_receiver(col.receiver());
+  ASSERT_TRUE(client->send(numbered(0, 0)).ok());
+  ASSERT_TRUE(col.wait_for(1, 0));
+
+  server->close();
+  EXPECT_EQ(col.error_count(), 1u);  // delivered before close() returns
+  server->close();
+  (void)client->send(numbered(0, 1));
+  client->close();
+  std::this_thread::sleep_for(50ms);
+  std::lock_guard<std::mutex> lock(col.mu);
+  EXPECT_EQ(col.frames.size(), 1u);
+  ASSERT_EQ(col.errors.size(), 1u);
+  EXPECT_EQ(col.errors[0].code, Errc::unavailable);
+}
+
+TEST_P(TransportTest, TerminalErrorOnceOnPeerClose) {
+  Collector col;
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  server->set_receiver(col.receiver());
+  ASSERT_TRUE(client->send(numbered(0, 0)).ok());
+  // TCP close() discards unwritten frames; let this one land first.
+  ASSERT_TRUE(col.wait_for(1, 0));
+  client->close();
+  ASSERT_TRUE(col.wait_for(1, 1));
+
+  server->close();
+  std::this_thread::sleep_for(50ms);
+  std::lock_guard<std::mutex> lock(col.mu);
+  EXPECT_EQ(col.frames.size(), 1u);
+  ASSERT_EQ(col.errors.size(), 1u);
+  EXPECT_EQ(col.errors[0].code, Errc::unavailable);
+}
+
+TEST_P(TransportTest, NoCallbackAfterCloseReturns) {
+  std::atomic<bool> closed{false};
+  std::atomic<int> late{0};
+  std::atomic<int> delivered{0};
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  server->set_receiver([&](Result<Frame>) {
+    if (closed.load()) late.fetch_add(1);
+    delivered.fetch_add(1);
+  });
+
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    for (int i = 0; !stop.load() && client->send(numbered(0, i)).ok(); ++i) {
+    }
+  });
+  while (delivered.load() < 100) std::this_thread::sleep_for(1ms);
+  server->close();
+  closed.store(true);
+  std::this_thread::sleep_for(50ms);  // senders keep hammering the closed end
+  stop.store(true);
+  sender.join();
+  EXPECT_EQ(late.load(), 0);
+}
+
+TEST_P(TransportTest, AcceptorFiresOncePerConnectAndNeverAfterClose) {
+  std::atomic<int> accepts{0};
+  AcceptQueue kept;  // holds the accepted ends so they stay open
+  auto lr = listen_on(GetParam(), [&accepts, fn = kept.acceptor()](
+                                      std::unique_ptr<Endpoint> ep) {
+    accepts.fetch_add(1);
+    fn(std::move(ep));
+  });
+  ASSERT_TRUE(lr.ok());
+  std::unique_ptr<Listener> listener = std::move(*lr);
+
+  constexpr int kConnects = 3;
+  std::vector<std::unique_ptr<Endpoint>> clients;
+  for (int i = 0; i < kConnects; ++i) {
+    auto c = connect_to(listener->address(), 2000ms);
+    ASSERT_TRUE(c.ok());
+    clients.push_back(std::move(*c));
+  }
+  // TCP accepts on the reactor thread, after connect() has returned.
+  for (int i = 0; i < 200 && accepts.load() < kConnects; ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(accepts.load(), kConnects);
+
+  listener->close();
+  const int at_close = accepts.load();
+  for (int i = 0; i < kConnects; ++i) {
+    auto c = connect_to(listener->address(), 200ms);
+    if (c.ok()) clients.push_back(std::move(*c));
+  }
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(accepts.load(), at_close);
+  EXPECT_EQ(accepts.load(), kConnects);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportTest,
@@ -345,15 +535,16 @@ TEST(ConnectTo, BadTcpAddressFails) {
 TEST(TcpTimeout, DeadSilentPeerSurfacesTimeout) {
   // A peer that connects and never writes anything must surface
   // Errc::timeout from recv() promptly, not block forever.
-  auto listener = tcp_listen(0);
+  AcceptQueue accepted;
+  auto listener = tcp_listen(0, accepted.acceptor());
   ASSERT_TRUE(listener.ok());
   auto client = tcp_connect((*listener)->address(), 1000ms);
   ASSERT_TRUE(client.ok());
-  auto server = (*listener)->accept(1000ms);
-  ASSERT_TRUE(server.ok());
+  auto server = accepted.next(1000ms);
+  ASSERT_TRUE(server);
 
   auto start = std::chrono::steady_clock::now();
-  auto r = (*server)->recv(200ms);
+  auto r = server->recv(200ms);
   auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::timeout);
@@ -367,7 +558,8 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
   // in the mid-frame continuation loop for the default 60 s. Endpoint
   // sends are frame-atomic, so the torn frame is written through a raw
   // socket (fine in tests; vine_lint bans raw IO in src/ only).
-  auto listener = tcp_listen(0);
+  AcceptQueue accepted;
+  auto listener = tcp_listen(0, accepted.acceptor());
   ASSERT_TRUE(listener.ok());
   const std::string addr = (*listener)->address();
   const auto colon = addr.rfind(':');
@@ -382,9 +574,9 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
   sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
 
-  auto server = (*listener)->accept(1000ms);
-  ASSERT_TRUE(server.ok());
-  (*server)->set_io_timeout(150ms);
+  auto server = accepted.next(1000ms);
+  ASSERT_TRUE(server);
+  server->set_io_timeout(150ms);
 
   // u32 LE payload length (100) + kind 'J' — then silence.
   const char header[5] = {'\x64', '\x00', '\x00', '\x00', 'J'};
@@ -392,7 +584,7 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
             static_cast<ssize_t>(sizeof(header)));
 
   auto start = std::chrono::steady_clock::now();
-  auto r = (*server)->recv(5000ms);
+  auto r = server->recv(5000ms);
   auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::timeout);
@@ -402,13 +594,14 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
 
 TEST(ChannelFabricTest, DuplicateNameRejected) {
   auto name = "dup-" + generate_token(8);
-  auto l1 = ChannelFabric::instance().listen(name);
+  AcceptQueue accepted;
+  auto l1 = ChannelFabric::instance().listen(name, accepted.acceptor());
   ASSERT_TRUE(l1.ok());
-  auto l2 = ChannelFabric::instance().listen(name);
+  auto l2 = ChannelFabric::instance().listen(name, accepted.acceptor());
   EXPECT_FALSE(l2.ok());
   // After closing, the name can be reused.
   (*l1)->close();
-  auto l3 = ChannelFabric::instance().listen(name);
+  auto l3 = ChannelFabric::instance().listen(name, accepted.acceptor());
   EXPECT_TRUE(l3.ok());
 }
 

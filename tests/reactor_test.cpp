@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "accept_queue.hpp"
 #include "common/uuid.hpp"
 #include "net/frame.hpp"
 #include "net/reactor.hpp"
@@ -83,6 +84,7 @@ int open_fd_count() {
 }
 
 struct Pair {
+  AcceptQueue accepted;
   std::unique_ptr<Listener> listener;
   std::unique_ptr<Endpoint> client;
   std::unique_ptr<Endpoint> server;
@@ -90,7 +92,7 @@ struct Pair {
 
 Pair make_pair() {
   Pair p;
-  auto l = tcp_listen(0);
+  auto l = tcp_listen(0, p.accepted.acceptor());
   EXPECT_TRUE(l.ok());
   if (!l.ok()) return p;
   p.listener = std::move(*l);
@@ -98,10 +100,8 @@ Pair make_pair() {
   EXPECT_TRUE(c.ok());
   if (!c.ok()) return p;
   p.client = std::move(*c);
-  auto s = p.listener->accept(1000ms);
-  EXPECT_TRUE(s.ok());
-  if (!s.ok()) return p;
-  p.server = std::move(*s);
+  p.server = p.accepted.next(1000ms);
+  EXPECT_TRUE(p.server);
   return p;
 }
 

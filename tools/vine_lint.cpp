@@ -19,6 +19,9 @@
 //                    early return or exception between them leaks the lock
 //   detached-thread  std::thread::detach(); detached threads outlive their
 //                    owner and race teardown — every thread must be joined
+//   timeout-poll     `Errc::timeout) continue` outside net/: a loop that
+//                    re-polls a timed-out recv/accept where the transport
+//                    already pushes the event (set_receiver, acceptors)
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -173,6 +176,7 @@ void scan_file(const fs::path& file, const std::string& rel,
   // The reactor owns every socket syscall in the tree; even the rest of
   // net/ (tcp.cpp adapters, channel transport) must stay I/O-free.
   const bool is_reactor_impl = rel == "net/reactor.cpp";
+  const bool is_net = rel.rfind("net/", 0) == 0;
 
   for (std::size_t i = 0; i < code.size(); ++i) {
     const std::string& c = code[i];
@@ -366,6 +370,29 @@ void scan_file(const fs::path& file, const std::string& rel,
           add(i, "detached-thread",
               "std::thread::detach() is banned; track the thread and join it "
               "at shutdown");
+        }
+      }
+    }
+
+    // timeout-poll: transports push frames and connections to callbacks;
+    // a loop that swallows Errc::timeout and polls again is a thread
+    // parked where an event already exists.
+    if (!is_net) {
+      std::size_t pos = c.find("Errc::timeout");
+      if (pos != std::string::npos) {
+        std::size_t p = pos + std::string("Errc::timeout").size();
+        auto skip_spaces = [&] {
+          while (p < c.size() && std::isspace(static_cast<unsigned char>(c[p]))) ++p;
+        };
+        skip_spaces();
+        if (p < c.size() && c[p] == ')') {
+          ++p;
+          skip_spaces();
+          if (find_token(c.substr(p), "continue")) {
+            add(i, "timeout-poll",
+                "timed-out poll loop; take the event from a receiver or "
+                "acceptor callback instead");
+          }
         }
       }
     }
