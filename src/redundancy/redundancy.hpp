@@ -4,10 +4,11 @@
 // (recover_lost_file): correct, but it pays full recompute cost at exactly
 // the moment the cluster is degraded. This engine replicates valuable temps
 // *ahead* of failure instead, so losing a worker usually costs one background
-// transfer rather than an ancestor-chain re-run. The policy is shared
-// verbatim by the real Manager and the ClusterSim, mirroring how both hosts
-// already share vine::Scheduler: the engine decides *what* to copy *where*;
-// the hosts own the mechanism (FetchMsg vs simulated flows).
+// transfer rather than an ancestor-chain re-run. Its host is the control
+// plane (vine::control) that the real Manager and the ClusterSim both drive:
+// the engine decides *what* to copy *where*; the plane turns plans into
+// transfer orders and the hosts own the mechanism (FetchMsg vs simulated
+// flows).
 //
 // Cost model. Each produced temp is scored by expected loss cost against
 // replication cost:

@@ -1,5 +1,5 @@
 // DagView: a per-pass snapshot of the waiting frontier of the task graph,
-// built by the scheduling host (Manager / ClusterSim) at the top of each
+// built by the scheduling host (control::ControlPlane) at the top of each
 // scheduling pass and consumed by the lookahead policy in vine::Scheduler.
 //
 // "Waiting" tasks are submitted tasks that cannot be placed yet because at

@@ -15,6 +15,9 @@
 # at the repo root: items/sec (or seconds) per row next
 # to the frozen pre-refactor baseline, with the speedup factor (the obs
 # suite gates on absolute cost budgets instead — it is a new subsystem).
+# Every file is stamped with what it was measured on: git_sha, git_dirty,
+# build_type (CMAKE_BUILD_TYPE of the build) and nproc — the fields
+# bench/e2e/run.py records.
 #
 # Usage:
 #   tools/bench.sh           # full run (benchmark_min_time=0.2 per case)
@@ -45,6 +48,36 @@ cmake --build --preset relwithdebinfo -j "$(nproc)" \
   --target micro_sched micro_flow micro_obs micro_net micro_redundancy \
           fig11_transfer_methods fig13_topeft_storage \
   >/dev/null
+
+# Taken before any BENCH_*.json is rewritten, so git_dirty reflects the
+# sources that were measured, not this run's own output files.
+VINE_BENCH_STAMP=$(python3 - <<'PYEOF'
+import json, os, subprocess
+
+def git(*args):
+    try:
+        done = subprocess.run(["git", *args], capture_output=True, text=True,
+                              timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+build_type = None
+with open("build/CMakeCache.txt") as f:
+    for line in f:
+        if line.startswith("CMAKE_BUILD_TYPE:"):
+            build_type = line.split("=", 1)[1].strip()
+sha = git("rev-parse", "HEAD")
+status = git("status", "--porcelain") if sha else None
+print(json.dumps({
+    "git_sha": sha,
+    "git_dirty": bool(status) if status is not None else None,
+    "build_type": build_type,
+    "nproc": os.cpu_count(),
+}))
+PYEOF
+)
+export VINE_BENCH_STAMP
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
@@ -92,6 +125,7 @@ for b in raw["benchmarks"]:
 
 out = {
     "suite": "micro_sched",
+    **json.loads(os.environ["VINE_BENCH_STAMP"]),
     "smoke": os.environ.get("SMOKE") == "1",
     "context": raw.get("context", {}),
     "benchmarks": rows,
@@ -205,6 +239,7 @@ for key, env in (("fig11_transfer_methods", "FIG11_SECS"),
 
 out = {
     "suite": "micro_flow",
+    **json.loads(os.environ["VINE_BENCH_STAMP"]),
     "smoke": os.environ.get("SMOKE") == "1",
     "context": raw.get("context", {}),
     "benchmarks": rows,
@@ -277,6 +312,7 @@ for b in raw["benchmarks"]:
 
 out = {
     "suite": "micro_obs",
+    **json.loads(os.environ["VINE_BENCH_STAMP"]),
     "smoke": os.environ.get("SMOKE") == "1",
     "context": raw.get("context", {}),
     "benchmarks": rows,
@@ -351,6 +387,7 @@ for b in raw["benchmarks"]:
 
 out = {
     "suite": "micro_net",
+    **json.loads(os.environ["VINE_BENCH_STAMP"]),
     "smoke": os.environ.get("SMOKE") == "1",
     "context": raw.get("context", {}),
     "benchmarks": rows,
@@ -421,6 +458,7 @@ mean_off = sum(r["makespan_off_s"] for r in seeds.values()) / len(seeds)
 mean_on = sum(r["makespan_on_s"] for r in seeds.values()) / len(seeds)
 out = {
     "suite": "micro_redundancy",
+    **json.loads(os.environ["VINE_BENCH_STAMP"]),
     "smoke": os.environ.get("SMOKE") == "1",
     "workload": "fig13@500 chaos soak (>=5% workers crashed, k=2)",
     "seeds": seeds,

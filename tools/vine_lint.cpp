@@ -22,6 +22,10 @@
 //   timeout-poll     `Errc::timeout) continue` outside net/: a loop that
 //                    re-polls a timed-out recv/accept where the transport
 //                    already pushes the event (set_receiver, acceptors)
+//   control-plane    pick_worker / plan_source / plan_prefetch /
+//                    redundancy_.plan calls outside sched/, control/ and
+//                    redundancy/: placement and transfer decisions live in
+//                    control::ControlPlane, once for both halves
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -177,6 +181,9 @@ void scan_file(const fs::path& file, const std::string& rel,
   // net/ (tcp.cpp adapters, channel transport) must stay I/O-free.
   const bool is_reactor_impl = rel == "net/reactor.cpp";
   const bool is_net = rel.rfind("net/", 0) == 0;
+  const bool is_control_policy = rel.rfind("sched/", 0) == 0 ||
+                                 rel.rfind("control/", 0) == 0 ||
+                                 rel.rfind("redundancy/", 0) == 0;
 
   for (std::size_t i = 0; i < code.size(); ++i) {
     const std::string& c = code[i];
@@ -393,6 +400,23 @@ void scan_file(const fs::path& file, const std::string& rel,
                 "timed-out poll loop; take the event from a receiver or "
                 "acceptor callback instead");
           }
+        }
+      }
+    }
+
+    // control-plane: placement, source planning, prefetch planning and
+    // replica planning are decided once, in control::ControlPlane (over the
+    // sched/ and redundancy/ policies). A call anywhere else is a second
+    // copy of the control plane growing back.
+    if (!is_control_policy) {
+      for (const char* fn : {"pick_worker(", "plan_prefetch(", "plan_source(",
+                             "redundancy_.plan("}) {
+        std::size_t pos = c.find(fn);
+        if (pos != std::string::npos && (pos == 0 || !is_ident_char(c[pos - 1]))) {
+          add(i, "control-plane",
+              std::string(fn) +
+                  ") outside sched/, control/ and redundancy/; decisions belong "
+                  "to control::ControlPlane");
         }
       }
     }
