@@ -37,10 +37,11 @@ ViolationHandler g_handler = default_handler;
 const char* rank_name(Rank r) {
   switch (r) {
     case Rank::manager_connections: return "manager_connections";
-    case Rank::worker_threads: return "worker_threads";
+    case Rank::worker_peers: return "worker_peers";
     case Rank::worker_cancels: return "worker_cancels";
     case Rank::worker_libraries: return "worker_libraries";
     case Rank::cache_store: return "cache_store";
+    case Rank::executor_watch: return "executor_watch";
     case Rank::channel_fabric: return "channel_fabric";
     case Rank::url_fetcher: return "url_fetcher";
     case Rank::task_registry: return "task_registry";
@@ -48,6 +49,7 @@ const char* rank_name(Rank r) {
     case Rank::metrics: return "metrics";
     case Rank::net_reactor: return "net_reactor";
     case Rank::endpoint_send: return "endpoint_send";
+    case Rank::work_pool: return "work_pool";
     case Rank::msg_queue: return "msg_queue";
     case Rank::uuid: return "uuid";
     case Rank::logging: return "logging";

@@ -28,10 +28,11 @@ namespace vine::lock_rank {
 /// Keep in sync with tools/lock_ranks.txt (golden-checked by vine_analyze).
 enum class Rank : std::int32_t {
   manager_connections = 10,  ///< Manager::conn_mutex_
-  worker_threads = 20,       ///< Worker::threads_mutex_
+  worker_peers = 20,         ///< Worker::peers_mutex_ (peer serve connections)
   worker_cancels = 25,       ///< Worker::cancels_mutex_ (cancelled transfers)
   worker_libraries = 30,     ///< Worker::libraries_mutex_
   cache_store = 40,          ///< CacheStore::mutex_
+  executor_watch = 45,       ///< Executor::watch_mutex_ (limited-task watchdog)
   channel_fabric = 50,       ///< ChannelFabric::mutex_
   url_fetcher = 60,          ///< MemoryUrlFetcher::mutex_
   task_registry = 70,        ///< Function/LibraryRegistry::mutex_
@@ -39,6 +40,7 @@ enum class Rank : std::int32_t {
   metrics = 90,              ///< obs::MetricsRegistry::mu_
   net_reactor = 95,          ///< Reactor::ops_mu_ (pending-op/flush list)
   endpoint_send = 100,       ///< ReactorConn::mu_ (frame delivery + write queue)
+  work_pool = 105,           ///< WorkPool::mutex_ (job queue, idle threads)
   msg_queue = 110,           ///< MsgQueue<T>::mutex_ (innermost data lock)
   uuid = 120,                ///< common/uuid RNG lock
   logging = 130,             ///< common/log stderr lock (callable anywhere)

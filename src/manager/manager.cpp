@@ -268,6 +268,7 @@ Result<TaskId> Manager::submit(TaskSpec spec) {
   record.report.submitted_at = clock_.now();
   std::string category = task_kind_name(spec.kind);
   plane_.submit(std::move(spec), std::move(category));
+  pass_due_ = true;
   return id;
 }
 
@@ -428,6 +429,21 @@ Status Manager::wait_for_workers(int count, std::chrono::milliseconds timeout) {
   return Status::success();
 }
 
+Status Manager::wait_for_library(const std::string& library_name, int count,
+                                 std::chrono::milliseconds timeout) {
+  auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (library_instances(library_name) < count) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return Error{Errc::timeout,
+                   "only " + std::to_string(library_instances(library_name)) +
+                       " of " + std::to_string(count) + " instances of " +
+                       library_name + " ready"};
+    }
+    pump(20ms);
+  }
+  return Status::success();
+}
+
 std::vector<WorkerSnapshot> Manager::workers_snapshot() const {
   std::vector<WorkerSnapshot> out;
   out.reserve(workers_.size());
@@ -478,7 +494,8 @@ void Manager::shutdown() {
 // ------------------------------------------------------------ pumping
 
 void Manager::pump(std::chrono::milliseconds timeout) {
-  auto ev = inbox_.pop(timeout);
+  // An owed pass runs now; only an idle manager blocks for events.
+  auto ev = pass_due_ ? inbox_.try_pop() : inbox_.pop(timeout);
   while (ev) {
     if (handle_event(std::move(*ev))) pass_due_ = true;
     ev = inbox_.try_pop();

@@ -180,6 +180,11 @@ class Manager : private control::Effects {
   /// Pump until at least `count` workers registered.
   Status wait_for_workers(int count, std::chrono::milliseconds timeout);
 
+  /// Pump until at least `count` workers advertise a ready instance of
+  /// `library_name` (their LibraryReady arrived).
+  Status wait_for_library(const std::string& library_name, int count,
+                          std::chrono::milliseconds timeout);
+
   /// Make progress without waiting for a task completion (useful while
   /// waiting on background work such as replication).
   void poll(std::chrono::milliseconds timeout) { pump(timeout); }
@@ -301,9 +306,10 @@ class Manager : private control::Effects {
   // Workflow state (application thread only).
   ManagerStats stats_;
   control::ControlPlane plane_;
-  /// A pass is owed: some event changed plane state since the last one (a
-  /// fresh manager has never run one). Idle pumps with nothing ready skip
-  /// the pass, so an idle manager emits no sched_pass events.
+  /// A pass is owed: a submit or some event changed plane state since the
+  /// last one (a fresh manager has never run one), so pump() does not block
+  /// before running it. Idle pumps with nothing ready skip the pass, so an
+  /// idle manager emits no sched_pass events.
   bool pass_due_ = true;
   std::map<WorkerId, WorkerState> workers_;
   std::map<FileId, std::shared_ptr<FileDecl>> files_;

@@ -50,6 +50,17 @@ class MsgQueue {
     return out;
   }
 
+  /// Pop, waiting with no timeout. nullopt only when the queue is closed
+  /// and drained.
+  std::optional<T> pop() {
+    UniqueLock lock(mutex_);
+    while (items_.empty() && !closed_) cv_.wait(lock);
+    if (items_.empty()) return std::nullopt;
+    T out = std::move(items_.front());
+    items_.pop_front();
+    return out;
+  }
+
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     MutexLock lock(mutex_);

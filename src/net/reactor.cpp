@@ -455,9 +455,15 @@ void Reactor::do_read(ReactorConn* c) {
     return;
   }
 
-  // Compact the consumed prefix (cheap clear when fully drained).
+  // Compact the consumed prefix (cheap clear when fully drained). A buffer
+  // a blob frame grew past one read chunk is released once drained, so an
+  // idle connection does not keep a blob-sized allocation alive.
   if (c->rbuf_off_ == c->rbuf_.size()) {
-    c->rbuf_.clear();
+    if (c->rbuf_.capacity() > kReadChunk) {
+      std::string().swap(c->rbuf_);
+    } else {
+      c->rbuf_.clear();
+    }
     c->rbuf_off_ = 0;
   } else if (c->rbuf_off_ >= 64u * 1024) {
     c->rbuf_.erase(0, c->rbuf_off_);

@@ -2,16 +2,14 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <thread>
-#include <vector>
+#include <utility>
 
 extern char** environ;  // POSIX guarantees it; no header is required to declare it
 
@@ -35,12 +33,108 @@ std::int64_t process_rss_bytes(pid_t pid) {
   return rss_pages * static_cast<std::int64_t>(::sysconf(_SC_PAGESIZE));
 }
 
+/// Owns a posix_spawn file-actions list.
+struct SpawnActions {
+  posix_spawn_file_actions_t fa;
+  SpawnActions() { ::posix_spawn_file_actions_init(&fa); }
+  ~SpawnActions() { ::posix_spawn_file_actions_destroy(&fa); }
+  SpawnActions(const SpawnActions&) = delete;
+  SpawnActions& operator=(const SpawnActions&) = delete;
+};
+
 }  // namespace
 
 Executor::Executor(ExecutorConfig config, CacheStore& cache)
     : config_(std::move(config)), cache_(cache) {
   std::error_code ec;
   fs::create_directories(config_.sandbox_root, ec);
+}
+
+Executor::~Executor() {
+  // No command runs any more, so the watchdog has exited or is exiting.
+  std::thread watchdog;
+  {
+    MutexLock lock(watch_mutex_);
+    watchdog = std::move(watchdog_);
+  }
+  if (watchdog.joinable()) watchdog.join();
+}
+
+std::uint64_t Executor::watch(Watched w) {
+  std::thread finished;
+  std::uint64_t id = 0;
+  {
+    MutexLock lock(watch_mutex_);
+    id = next_watch_id_++;
+    watched_.emplace(id, std::move(w));
+    if (!watchdog_running_) {
+      watchdog_running_ = true;
+      // A previous watchdog ran out of commands and returned; join it
+      // outside the lock.
+      finished = std::move(watchdog_);
+      watchdog_ = std::thread([this] { watchdog_main(); });
+    }
+  }
+  if (finished.joinable()) finished.join();
+  return id;
+}
+
+Executor::Limit Executor::unwatch(std::uint64_t id) {
+  MutexLock lock(watch_mutex_);
+  auto it = watched_.find(id);
+  if (it == watched_.end()) return Limit::none;
+  const Limit exceeded = it->second.exceeded;
+  watched_.erase(it);
+  if (watched_.empty()) watch_cv_.notify_all();
+  return exceeded;
+}
+
+void Executor::watchdog_main() {
+  const auto interval = std::chrono::duration<double>(config_.disk_poll_seconds);
+  for (;;) {
+    std::vector<std::pair<std::uint64_t, Watched>> probes;
+    {
+      UniqueLock lock(watch_mutex_);
+      if (!watched_.empty()) watch_cv_.wait_for(lock, interval);
+      if (watched_.empty()) {
+        watchdog_running_ = false;
+        return;
+      }
+      probes.assign(watched_.begin(), watched_.end());
+    }
+    // Measure outside the lock: disk walks and /proc reads take time, and
+    // the commands' own threads need the lock to leave.
+    const auto now = std::chrono::steady_clock::now();
+    for (auto& [_, w] : probes) {
+      if (now >= w.deadline) {
+        w.exceeded = Limit::wall_time;
+        continue;
+      }
+      if (w.disk_bytes > 0) {
+        auto used = tree_size(w.sandbox);
+        if (used.ok() && *used > w.disk_bytes) {
+          w.exceeded = Limit::disk;
+          continue;
+        }
+      }
+      // Memory enforcement samples the command shell's RSS (full-tree
+      // accounting would need cgroups; the shell holds most workflows'
+      // footprint since $(...) expansions live in it).
+      if (w.memory_bytes > 0 && process_rss_bytes(w.pid) > w.memory_bytes) {
+        w.exceeded = Limit::memory;
+      }
+    }
+    // Kill under the lock: a command still in watched_ has not been reaped,
+    // so its pid cannot have been recycled.
+    MutexLock lock(watch_mutex_);
+    for (const auto& [id, probe] : probes) {
+      if (probe.exceeded == Limit::none) continue;
+      auto it = watched_.find(id);
+      if (it == watched_.end() || it->second.exceeded != Limit::none) continue;
+      it->second.exceeded = probe.exceeded;
+      ::kill(it->second.pid, SIGKILL);
+    }
+  }
 }
 
 Result<fs::path> Executor::make_sandbox(const proto::WireTask& task) {
@@ -125,10 +219,8 @@ ExecOutcome Executor::run_command(const proto::WireTask& task, const fs::path& s
   ExecOutcome outcome;
   fs::path stdout_path = sandbox / ".vine-stdout";
 
-  // Build the child's environment and argv BEFORE forking. The worker is
-  // multithreaded, so between fork() and exec() only async-signal-safe
-  // calls are allowed — setenv() allocates and can deadlock/spin forever
-  // on allocator locks a sibling thread held at fork time.
+  // Build the child's environment and argv before spawning: the child
+  // gets them as they are, with nothing left to compute after the clone.
   std::map<std::string, std::string> env;
   for (char** e = environ; e && *e; ++e) {
     const char* eq = std::strchr(*e, '=');
@@ -145,92 +237,79 @@ ExecOutcome Executor::run_command(const proto::WireTask& task, const fs::path& s
   envp.push_back(nullptr);
   const char* argv[] = {"sh", "-c", task.command.c_str(), nullptr};
 
-  pid_t pid = ::fork();
-  if (pid < 0) {
-    outcome.error = std::string("fork failed: ") + std::strerror(errno);
+  // posix_spawn, not fork(): the worker is multithreaded, and fork() would
+  // copy its whole page table for a child that only execs /bin/sh. The
+  // child enters the sandbox and writes stdout to the capture file.
+  SpawnActions actions;
+  int rc = ::posix_spawn_file_actions_addchdir_np(&actions.fa, sandbox.c_str());
+  if (rc == 0) {
+    rc = ::posix_spawn_file_actions_addopen(&actions.fa, STDOUT_FILENO,
+                                            stdout_path.c_str(),
+                                            O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  }
+  pid_t pid = -1;
+  if (rc == 0) {
+    rc = ::posix_spawn(&pid, "/bin/sh", &actions.fa, nullptr,
+                       const_cast<char* const*>(argv), envp.data());
+  }
+  if (rc != 0) {
+    outcome.error = std::string("spawn failed: ") + std::strerror(rc);
     return outcome;
   }
 
-  if (pid == 0) {
-    // Child: enter the sandbox and capture stdout; async-signal-safe
-    // calls only from here to execve/_exit.
-    if (::chdir(sandbox.c_str()) != 0) _exit(126);
-    int out_fd = ::open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (out_fd >= 0) {
-      ::dup2(out_fd, STDOUT_FILENO);
-      ::close(out_fd);
+  // A command with a limit goes under the watchdog; either way this thread
+  // blocks until the child exits, so reaping never waits for a check.
+  const bool limited = task.timeout_seconds > 0 || task.resources.disk_mb > 0 ||
+                       task.resources.memory_mb > 0;
+  Limit exceeded = Limit::none;
+  if (limited) {
+    Watched w;
+    w.pid = pid;
+    if (task.timeout_seconds > 0) {
+      w.deadline = std::chrono::steady_clock::now() +
+                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double>(task.timeout_seconds));
     }
-    ::execve("/bin/sh", const_cast<char* const*>(argv), envp.data());
-    _exit(127);
+    w.disk_bytes = task.resources.disk_mb * 1000 * 1000;
+    w.memory_bytes = task.resources.memory_mb * 1000 * 1000;
+    w.sandbox = sandbox;
+    const std::uint64_t id = watch(std::move(w));
+    // Wait for the exit without reaping: the zombie keeps its pid until
+    // unwatch() has taken it off the watchdog.
+    siginfo_t info{};
+    while (::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT) != 0 &&
+           errno == EINTR) {
+    }
+    exceeded = unwatch(id);
   }
-
-  // Parent: poll for completion, enforcing wall-time and disk limits.
-  const auto start = std::chrono::steady_clock::now();
-  const auto poll = std::chrono::duration<double>(config_.disk_poll_seconds);
-  bool killed_for_time = false;
-  bool killed_for_disk = false;
-  bool killed_for_memory = false;
   int status = 0;
-  while (true) {
-    pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) break;
-    if (r < 0 && errno != EINTR) {
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) {
       outcome.error = std::string("waitpid failed: ") + std::strerror(errno);
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
       return outcome;
     }
+  }
 
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    if (task.timeout_seconds > 0 && elapsed > task.timeout_seconds) {
-      killed_for_time = true;
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
+  switch (exceeded) {
+    case Limit::disk:
+      outcome.resource_exceeded = true;
+      outcome.error = "task exceeded its disk allocation of " +
+                      std::to_string(task.resources.disk_mb) + "MB";
+      return outcome;
+    case Limit::memory:
+      outcome.resource_exceeded = true;
+      outcome.error = "task exceeded its memory allocation of " +
+                      std::to_string(task.resources.memory_mb) + "MB";
+      return outcome;
+    case Limit::wall_time:
+      outcome.error = "task exceeded its wall-time limit of " +
+                      std::to_string(task.timeout_seconds) + "s";
+      return outcome;
+    case Limit::none:
       break;
-    }
-    if (task.resources.disk_mb > 0) {
-      auto used = tree_size(sandbox);
-      if (used.ok() && *used > task.resources.disk_mb * 1000 * 1000) {
-        killed_for_disk = true;
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
-        break;
-      }
-    }
-    // Memory enforcement samples the command shell's RSS (full-tree
-    // accounting would need cgroups; the shell holds most workflows'
-    // footprint since $(...) expansions live in it).
-    if (task.resources.memory_mb > 0 &&
-        process_rss_bytes(pid) > task.resources.memory_mb * 1000 * 1000) {
-      killed_for_memory = true;
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
-      break;
-    }
-    std::this_thread::sleep_for(poll);
   }
 
-  if (killed_for_disk) {
-    outcome.resource_exceeded = true;
-    outcome.error = "task exceeded its disk allocation of " +
-                    std::to_string(task.resources.disk_mb) + "MB";
-    return outcome;
-  }
-  if (killed_for_memory) {
-    outcome.resource_exceeded = true;
-    outcome.error = "task exceeded its memory allocation of " +
-                    std::to_string(task.resources.memory_mb) + "MB";
-    return outcome;
-  }
-  if (killed_for_time) {
-    outcome.error = "task exceeded its wall-time limit of " +
-                    std::to_string(task.timeout_seconds) + "s";
-    return outcome;
-  }
-
-  // Fast tasks can finish between polls; enforce the disk allocation on
+  // Fast tasks can finish between checks; enforce the disk allocation on
   // the final sandbox state as well.
   if (task.resources.disk_mb > 0) {
     auto used = tree_size(sandbox);

@@ -67,12 +67,7 @@ void LibraryInstance::dispatcher_main() {
   }
 
   // Phase 2: passively wait for invocations; "fork" per call.
-  while (true) {
-    auto msg = to_instance_.pop(std::chrono::milliseconds(200));
-    if (!msg) {
-      if (to_instance_.closed()) break;
-      continue;
-    }
+  while (auto msg = to_instance_.pop()) {
     std::string type = msg->get_string("type");
     if (type == "stop") break;
     if (type != "invoke") continue;
@@ -81,9 +76,8 @@ void LibraryInstance::dispatcher_main() {
     std::string fn_name = msg->get_string("function");
     std::string args = msg->get_string("args");
 
-    invocations_.emplace_back([this, &bp = *blueprint, state, call_id,
-                               fn_name = std::move(fn_name),
-                               args = std::move(args)] {
+    calls_.submit([this, &bp = *blueprint, state, call_id,
+                   fn_name = std::move(fn_name), args = std::move(args)] {
       Object result;
       result["type"] = "result";
       result["call_id"] = static_cast<std::int64_t>(call_id);
@@ -105,9 +99,7 @@ void LibraryInstance::dispatcher_main() {
     });
   }
 
-  for (auto& t : invocations_) {
-    if (t.joinable()) t.join();
-  }
+  calls_.close();  // every call returns before its blueprint goes away
   to_worker_.close();
 }
 

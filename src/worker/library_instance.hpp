@@ -4,10 +4,11 @@
 // bidirectional message channel (the paper's pipe), starts the instance,
 // and waits for a JSON init message describing the functions offered. The
 // instance then waits passively; each FunctionCall task becomes a JSON
-// invocation message, the instance "forks" (spawns an invocation thread —
-// the in-process analog of the paper's fork), runs the already-loaded
-// function against the state built once by init, and returns a JSON result
-// message. The expensive init cost is paid once per worker, not per call.
+// invocation message, the instance "forks" (hands the call to a pool
+// thread — the in-process analog of the paper's fork), runs the
+// already-loaded function against the state built once by init, and
+// returns a JSON result message. The expensive init cost is paid once per
+// worker, not per call.
 //
 // Wire shapes on the instance channel:
 //   instance -> worker:  {"type":"init","library":L,"functions":[...],"ok":B}
@@ -20,8 +21,8 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "common/work_pool.hpp"
 #include "json/json.hpp"
 #include "net/msg_queue.hpp"
 #include "task/registry.hpp"
@@ -67,9 +68,11 @@ class LibraryInstance {
   MsgQueue<json::Value> to_instance_;
   MsgQueue<json::Value> to_worker_;
 
-  std::thread dispatcher_;
-  std::vector<std::thread> invocations_;
+  // Runs the invocations. Uncapped: the manager admits no more calls than
+  // the library's slots, so the pool never outgrows that.
+  WorkPool calls_;
   std::atomic<bool> stopping_{false};
+  std::thread dispatcher_;
 };
 
 }  // namespace vine

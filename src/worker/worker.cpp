@@ -1,6 +1,7 @@
 #include "worker/worker.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "archive/vpak.hpp"
@@ -17,7 +18,10 @@ namespace vine {
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
-Worker::Worker(WorkerConfig config) : config_(std::move(config)) {
+Worker::Worker(WorkerConfig config)
+    : config_(std::move(config)),
+      transfer_pool_(static_cast<std::size_t>(
+          std::max(1, config_.max_concurrent_transfers))) {
   register_builtin_functions();
   if (!config_.fetcher) config_.fetcher = std::make_shared<FileUrlFetcher>();
   cache_ = std::make_unique<CacheStore>(config_.root_dir / "cache",
@@ -49,20 +53,16 @@ Status Worker::init_and_register() {
                  "xfer-" + config_.id + "-" + generate_token(6), on_accept));
   }
   transfer_addr_ = transfer_listener_->address();
-  // Serve pool: drains GETs pushed by every peer connection's receiver.
-  // Answering one only hands bytes to the transport, so a handful of
-  // threads covers any number of peers (no thread per connection).
-  for (int i = 0; i < 4; ++i) {
-    serve_pool_.emplace_back([this] { serve_pool_main(); });
-  }
 
-  // Transfer pool.
-  for (int i = 0; i < std::max(1, config_.max_concurrent_transfers); ++i) {
-    transfer_pool_.emplace_back([this] { transfer_worker_main(); });
-  }
-
-  // Control connection + registration.
+  // Control connection + registration. The receiver only enqueues; the
+  // terminal error closes the queue behind it, so the control thread sees
+  // the end of the connection whichever handler pops it.
   VINE_TRY(manager_, connect_to(config_.manager_addr, 5000ms));
+  manager_->set_receiver([this](Result<Frame> frame) {
+    const bool terminal = !frame.ok();
+    control_.push(std::move(frame));
+    if (terminal) control_.close();
+  });
   proto::HelloMsg hello;
   hello.worker_id = config_.id;
   hello.transfer_addr = transfer_addr_;
@@ -84,7 +84,8 @@ void Worker::start() {
 }
 
 void Worker::run() {
-  double last_beat = clock_.now();
+  const double beat_s = config_.heartbeat_interval_ms / 1000.0;
+  double next_beat = clock_.now() + beat_s;
   while (!stopping_.load()) {
     if (hung_.load()) {
       // Injected hang: the connection stays open but nothing is processed
@@ -92,57 +93,66 @@ void Worker::run() {
       std::this_thread::sleep_for(20ms);
       continue;
     }
-    if (config_.heartbeat_interval_ms > 0 &&
-        (clock_.now() - last_beat) * 1000.0 >= config_.heartbeat_interval_ms) {
-      last_beat = clock_.now();
-      send_to_manager(proto::HeartbeatMsg{});
+    // Wait for the next frame; with heartbeats on, only until the next
+    // beat is due — that deadline is the loop's only timer.
+    std::optional<Result<Frame>> frame;
+    if (config_.heartbeat_interval_ms > 0) {
+      double now = clock_.now();
+      if (now >= next_beat) {
+        send_to_manager(proto::HeartbeatMsg{});
+        next_beat = now + beat_s;
+      }
+      frame = control_.pop(std::chrono::milliseconds(
+          static_cast<std::int64_t>(std::ceil((next_beat - now) * 1000.0))));
+    } else {
+      frame = control_.pop();
     }
-    auto frame = manager_->recv(100ms);
-    if (!frame.ok()) {
-      if (frame.error().code == Errc::timeout) continue;
+    if (!frame) {
+      if (control_.closed()) break;  // the terminal error was taken earlier
+      continue;                      // a heartbeat is due
+    }
+    if (!frame->ok()) {
       VINE_LOG_INFO("worker", "%s: manager connection closed (%s)",
-                    config_.id.c_str(), frame.error().message.c_str());
+                    config_.id.c_str(), frame->error().message.c_str());
       break;
     }
-    handle_frame(std::move(*frame));
+    handle_frame(std::move(**frame));
   }
 }
 
 void Worker::stop() {
   // stopping_ may already be set by a shutdown message from the manager;
   // the close operations are idempotent and must run regardless, or the
-  // transfer pool would spin forever and the joins below would deadlock.
+  // control thread and the pool threads would never be woken to be joined.
   stopping_.store(true);
   if (manager_) manager_->close();
+  control_.close();
   if (transfer_listener_) transfer_listener_->close();
-  transfer_jobs_.close();
   if (run_thread_.joinable() &&
       run_thread_.get_id() != std::this_thread::get_id()) {
     run_thread_.join();
   }
-  for (auto& t : transfer_pool_) {
-    if (t.joinable()) t.join();
-  }
-  transfer_pool_.clear();
-  serve_jobs_.close();
-  for (auto& t : serve_pool_) {
-    if (t.joinable()) t.join();
-  }
-  serve_pool_.clear();
+  // Queued fetches run down; their replies fail quietly on the closed
+  // connection.
+  transfer_pool_.close();
+  serve_pool_.close();
   // Drop the peer connections with the map swapped out: a TCP endpoint dtor
   // synchronously deregisters from the reactor, whose accept callback takes
   // our lock. The listener is closed, so none can be added any more.
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> peers_to_drop;
   {
-    MutexLock lock(threads_mutex_);
+    MutexLock lock(peers_mutex_);
     peers_to_drop.swap(serve_peers_);
   }
   peers_to_drop.clear();
+  // Running tasks and library starts finish before the libraries are torn
+  // down, so no start can install an instance behind the teardown.
+  exec_pool_.close();
 
   // Extract the hosts under the lock; stop and join the instances outside
-  // it. instance->stop() and pump.join() block for up to a pop timeout, and
-  // a blocking call under libraries_mutex_ would stall function-call
-  // dispatch (and is banned by the vine_analyze lock/blocking pass).
+  // it. instance->stop() and pump.join() wait for running calls, and a
+  // blocking call under libraries_mutex_ would stall function-call dispatch
+  // (and is banned by the vine_analyze lock/blocking pass).
   std::map<std::string, LibraryHost> hosts;
   {
     MutexLock lock(libraries_mutex_);
@@ -154,15 +164,6 @@ void Worker::stop() {
     remove_all_quiet(host.sandbox);
   }
   hosts.clear();
-
-  std::vector<std::thread> to_join;
-  {
-    MutexLock lock(threads_mutex_);
-    to_join.swap(task_threads_);
-  }
-  for (auto& t : to_join) {
-    if (t.joinable()) t.join();
-  }
   // All internal threads are quiescent; the cache must match the disk.
   maybe_audit("worker.stop");
 }
@@ -246,15 +247,16 @@ void Worker::handle_frame(Frame frame) {
 
 void Worker::handle_put(const proto::PutMsg& msg) {
   // The object's bytes follow as a blob frame on the same connection.
-  auto blob = manager_->recv(
+  auto blob = control_.pop(
       std::chrono::milliseconds(std::max(1, config_.transfer_io_timeout_ms)));
-  if (!blob.ok() || blob->kind != Frame::Kind::blob) {
+  if (!blob || !blob->ok() || (*blob)->kind != Frame::Kind::blob) {
     send_cache_update(msg.cache_name, msg.transfer_id, false, -1,
                       "put not followed by blob frame");
     return;
   }
-  Status st = msg.is_dir ? cache_->put_archive(msg.cache_name, blob->data, msg.level)
-                         : cache_->put_bytes(msg.cache_name, blob->data, msg.level);
+  const std::string& data = (*blob)->data;
+  Status st = msg.is_dir ? cache_->put_archive(msg.cache_name, data, msg.level)
+                         : cache_->put_bytes(msg.cache_name, data, msg.level);
   if (!st.ok()) {
     send_cache_update(msg.cache_name, msg.transfer_id, false, -1,
                       st.error().to_string());
@@ -266,26 +268,11 @@ void Worker::handle_put(const proto::PutMsg& msg) {
 }
 
 void Worker::handle_fetch(const proto::FetchMsg& msg) {
-  transfer_jobs_.push(TransferJob{msg, {}, false});
+  transfer_pool_.submit([this, msg] { do_fetch(msg); });
 }
 
 void Worker::handle_mini_task(const proto::MiniTaskMsg& msg) {
-  transfer_jobs_.push(TransferJob{{}, msg, true});
-}
-
-void Worker::transfer_worker_main() {
-  while (true) {
-    auto job = transfer_jobs_.pop(200ms);
-    if (!job) {
-      if (transfer_jobs_.closed()) return;
-      continue;
-    }
-    if (job->is_mini) {
-      do_mini_task(job->mini);
-    } else {
-      do_fetch(job->fetch);
-    }
-  }
+  transfer_pool_.submit([this, msg] { do_mini_task(msg); });
 }
 
 bool Worker::take_cancel(const std::string& transfer_id) {
@@ -429,19 +416,22 @@ void Worker::do_mini_task(const proto::MiniTaskMsg& msg) {
 // ------------------------------------------------------------ tasks
 
 void Worker::handle_run_task(const proto::RunTaskMsg& msg) {
-  if (msg.task.kind == TaskKind::library) {
-    start_library(msg.task);
-    return;
-  }
   if (msg.task.kind == TaskKind::function_call) {
     invoke_function_call(msg.task);
     return;
   }
-  MutexLock lock(threads_mutex_);
-  task_threads_.emplace_back([this, task = msg.task] { task_thread_main(task); });
+  // A command waits on its child and a library start on its init, so both
+  // leave the control thread.
+  exec_pool_.submit([this, task = msg.task] {
+    if (task.kind == TaskKind::library) {
+      start_library(task);
+    } else {
+      run_task(task);
+    }
+  });
 }
 
-void Worker::task_thread_main(proto::WireTask task) {
+void Worker::run_task(const proto::WireTask& task) {
   proto::TaskDoneMsg done;
   done.task_id = task.id;
   done.started_at = clock_.now();
@@ -466,90 +456,82 @@ void Worker::task_thread_main(proto::WireTask task) {
 
 // ------------------------------------------------------------ serverless
 
-void Worker::start_library(proto::WireTask task) {
-  MutexLock lock(threads_mutex_);
-  task_threads_.emplace_back([this, task = std::move(task)] {
-    auto sandbox = executor_->make_sandbox(task);
-    if (!sandbox.ok()) {
+void Worker::start_library(const proto::WireTask& task) {
+  auto sandbox = executor_->make_sandbox(task);
+  if (!sandbox.ok()) {
+    proto::TaskDoneMsg done;
+    done.task_id = task.id;
+    done.ok = false;
+    done.error = "library sandbox: " + sandbox.error().to_string();
+    send_to_manager(done);
+    return;
+  }
+  FunctionContext ctx;
+  ctx.sandbox_dir = sandbox->string();
+  ctx.worker_id = config_.id;
+
+  auto instance =
+      std::make_unique<LibraryInstance>(task.library_name, task.id, ctx);
+
+  // Wait for the init message.
+  auto init = instance->from_instance().pop(60000ms);
+  if (!init || !init->get_bool("ok")) {
+    proto::TaskDoneMsg done;
+    done.task_id = task.id;
+    done.ok = false;
+    done.error = init ? init->get_string("error", "library init failed")
+                      : "library init timed out";
+    send_to_manager(done);
+    instance->stop();
+    remove_all_quiet(*sandbox);
+    return;
+  }
+
+  proto::LibraryReadyMsg ready;
+  ready.task_id = task.id;
+  ready.library_name = task.library_name;
+  if (const auto* fns = init->find("functions"); fns && fns->is_array()) {
+    for (const auto& f : fns->as_array()) {
+      if (f.is_string()) ready.functions.push_back(f.as_string());
+    }
+  }
+
+  LibraryHost host;
+  host.sandbox = *sandbox;
+  auto* inst_raw = instance.get();
+  host.instance = std::move(instance);
+  // Pump results from the instance into task_done messages.
+  host.pump = std::thread([this, inst_raw] {
+    while (auto msg = inst_raw->from_instance().pop()) {
+      if (msg->get_string("type") != "result") continue;
       proto::TaskDoneMsg done;
-      done.task_id = task.id;
-      done.ok = false;
-      done.error = "library sandbox: " + sandbox.error().to_string();
+      done.task_id = static_cast<TaskId>(msg->get_int("call_id"));
+      done.ok = msg->get_bool("ok");
+      done.exit_code = done.ok ? 0 : 1;
+      done.output = msg->get_string("output");
+      done.error = msg->get_string("error");
       send_to_manager(done);
-      return;
     }
-    FunctionContext ctx;
-    ctx.sandbox_dir = sandbox->string();
-    ctx.worker_id = config_.id;
-
-    auto instance =
-        std::make_unique<LibraryInstance>(task.library_name, task.id, ctx);
-
-    // Wait for the init message.
-    auto init = instance->from_instance().pop(60000ms);
-    if (!init || !init->get_bool("ok")) {
-      proto::TaskDoneMsg done;
-      done.task_id = task.id;
-      done.ok = false;
-      done.error = init ? init->get_string("error", "library init failed")
-                        : "library init timed out";
-      send_to_manager(done);
-      instance->stop();
-      remove_all_quiet(*sandbox);
-      return;
-    }
-
-    proto::LibraryReadyMsg ready;
-    ready.task_id = task.id;
-    ready.library_name = task.library_name;
-    if (const auto* fns = init->find("functions"); fns && fns->is_array()) {
-      for (const auto& f : fns->as_array()) {
-        if (f.is_string()) ready.functions.push_back(f.as_string());
-      }
-    }
-
-    LibraryHost host;
-    host.sandbox = *sandbox;
-    auto* inst_raw = instance.get();
-    host.instance = std::move(instance);
-    // Pump results from the instance into task_done messages.
-    host.pump = std::thread([this, inst_raw] {
-      while (true) {
-        auto msg = inst_raw->from_instance().pop(200ms);
-        if (!msg) {
-          if (inst_raw->from_instance().closed()) return;
-          continue;
-        }
-        if (msg->get_string("type") != "result") continue;
-        proto::TaskDoneMsg done;
-        done.task_id = static_cast<TaskId>(msg->get_int("call_id"));
-        done.ok = msg->get_bool("ok");
-        done.exit_code = done.ok ? 0 : 1;
-        done.output = msg->get_string("output");
-        done.error = msg->get_string("error");
-        send_to_manager(done);
-      }
-    });
-
-    // Swap in the new instance under the lock; retire a replaced older
-    // instance outside it (stop/join are blocking calls).
-    std::optional<LibraryHost> old_host;
-    {
-      MutexLock lib_lock(libraries_mutex_);
-      auto it = libraries_.find(task.library_name);
-      if (it != libraries_.end()) {
-        old_host.emplace(std::move(it->second));
-        libraries_.erase(it);
-      }
-      libraries_.emplace(task.library_name, std::move(host));
-    }
-    if (old_host) {
-      old_host->instance->stop();
-      if (old_host->pump.joinable()) old_host->pump.join();
-      remove_all_quiet(old_host->sandbox);
-    }
-    send_to_manager(ready);
   });
+
+  // Swap in the new instance under the lock; retire a replaced older
+  // instance outside it (stop/join are blocking calls).
+  std::optional<LibraryHost> old_host;
+  {
+    MutexLock lib_lock(libraries_mutex_);
+    auto it = libraries_.find(task.library_name);
+    if (it != libraries_.end()) {
+      old_host.emplace(std::move(it->second));
+      libraries_.erase(it);
+    }
+    libraries_.emplace(task.library_name, std::move(host));
+  }
+  if (old_host) {
+    old_host->instance->stop();
+    if (old_host->pump.joinable()) old_host->pump.join();
+    remove_all_quiet(old_host->sandbox);
+  }
+  send_to_manager(ready);
 }
 
 void Worker::invoke_function_call(const proto::WireTask& task) {
@@ -662,41 +644,36 @@ void Worker::accept_peer(std::unique_ptr<Endpoint> ep) {
   // installing it — the first GET can land on the pool the instant the
   // callback is in place.
   {
-    MutexLock lock(threads_mutex_);
+    MutexLock lock(peers_mutex_);
     serve_peers_.emplace(id, peer);
   }
   peer->set_receiver([this, id](Result<Frame> frame) {
-    serve_jobs_.push(ServeJob{id, std::move(frame)});
+    serve_pool_.submit([this, id, frame = std::move(frame)]() mutable {
+      serve_frame(id, std::move(frame));
+    });
   });
 }
 
-void Worker::serve_pool_main() {
-  while (true) {
-    auto job = serve_jobs_.pop(200ms);
-    if (!job) {
-      if (serve_jobs_.closed()) return;
-      continue;
-    }
-    std::shared_ptr<Endpoint> peer;
-    {
-      MutexLock lock(threads_mutex_);
-      auto it = serve_peers_.find(job->peer_id);
-      if (it == serve_peers_.end()) continue;  // dropped by stop()
-      peer = it->second;
-      // Death notification — the connection closed, timed out, or broke.
-      // It is always the receiver's last delivery for this id.
-      if (!job->frame.ok()) serve_peers_.erase(it);
-    }
-    // The last reference may go here, outside the lock: the endpoint dtor
-    // deregisters from the reactor.
-    if (!job->frame.ok()) continue;
-    if (job->frame->kind != Frame::Kind::json) continue;
-    auto msg = proto::decode(job->frame->msg);
-    if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) continue;
-    // If serve_get closes the connection, the transport delivers the death
-    // notification and the branch above cleans up.
-    serve_get(*peer, std::get<proto::GetMsg>(*msg));
+void Worker::serve_frame(std::uint64_t peer_id, Result<Frame> frame) {
+  std::shared_ptr<Endpoint> peer;
+  {
+    MutexLock lock(peers_mutex_);
+    auto it = serve_peers_.find(peer_id);
+    if (it == serve_peers_.end()) return;  // dropped by stop()
+    peer = it->second;
+    // Death notification — the connection closed, timed out, or broke.
+    // It is always the receiver's last delivery for this id.
+    if (!frame.ok()) serve_peers_.erase(it);
   }
+  // The last reference may go here, outside the lock: the endpoint dtor
+  // deregisters from the reactor.
+  if (!frame.ok()) return;
+  if (frame->kind != Frame::Kind::json) return;
+  auto msg = proto::decode(frame->msg);
+  if (!msg.ok() || !std::holds_alternative<proto::GetMsg>(*msg)) return;
+  // If serve_get closes the connection, the transport delivers the death
+  // notification and the branch above cleans up.
+  serve_get(*peer, std::get<proto::GetMsg>(*msg));
 }
 
 void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {

@@ -17,6 +17,7 @@
 #include "common/clock.hpp"
 #include "common/faults.hpp"
 #include "common/mutex.hpp"
+#include "common/work_pool.hpp"
 #include "files/url_fetcher.hpp"
 #include "net/frame.hpp"
 #include "net/msg_queue.hpp"
@@ -115,7 +116,7 @@ class Worker {
   explicit Worker(WorkerConfig config);
   Status init_and_register();
 
-  // --- manager message handling (main loop thread) ---
+  // --- manager message handling (control thread) ---
   void handle_frame(Frame frame);
   void handle_put(const proto::PutMsg& msg);
   void handle_fetch(const proto::FetchMsg& msg);
@@ -139,13 +140,7 @@ class Worker {
   /// end-of-workflow and stop().
   void maybe_audit(const char* where) const;
 
-  // --- transfer queue ---
-  struct TransferJob {
-    proto::FetchMsg fetch;      // valid when !is_mini
-    proto::MiniTaskMsg mini;    // valid when is_mini
-    bool is_mini = false;
-  };
-  void transfer_worker_main();
+  // --- transfer pool jobs ---
   void do_fetch(const proto::FetchMsg& msg);
   /// True (and consumes the mark) when `transfer_id` was cancelled by the
   /// manager before the fetch got to run.
@@ -155,55 +150,43 @@ class Worker {
   Status fetch_from_peer(const proto::FetchMsg& msg);
   void do_mini_task(const proto::MiniTaskMsg& msg);
 
-  // --- task execution ---
-  void task_thread_main(proto::WireTask task);
-  void start_library(proto::WireTask task);
+  // --- task execution (exec pool jobs, except function calls) ---
+  void run_task(const proto::WireTask& task);
+  void start_library(const proto::WireTask& task);
   void invoke_function_call(const proto::WireTask& task);
 
   // --- peer transfer service ---
   /// Listener acceptor: register a peer connection and route its frames
   /// to the serve pool. Runs on the transport's accept thread.
   void accept_peer(std::unique_ptr<Endpoint> ep);
+  /// Serve-pool job: one frame (or the death notification) from the peer
+  /// connection registered as `peer_id`.
+  void serve_frame(std::uint64_t peer_id, Result<Frame> frame);
   /// Answer one GET on a peer connection (fault injection, digest
   /// attestation, zero-copy blob send). Closes the connection when the
   /// answer cannot be completed.
   void serve_get(Endpoint& peer, const proto::GetMsg& get);
-  void serve_pool_main();
 
   WorkerConfig config_;
   std::unique_ptr<CacheStore> cache_;
   std::unique_ptr<Executor> executor_;
 
   std::unique_ptr<Endpoint> manager_;
+  /// Frames from the manager, pushed by manager_'s receiver and drained by
+  /// the control thread; closed after the connection's terminal error.
+  MsgQueue<Result<Frame>> control_;
   std::unique_ptr<Listener> transfer_listener_;
   std::string transfer_addr_;
 
-  MsgQueue<TransferJob> transfer_jobs_;
-  std::vector<std::thread> transfer_pool_;
-
-  // Event-driven peer serving, both transports: each peer connection's
-  // receiver pushes every inbound frame — and finally the death
-  // notification — into serve_jobs_ as {peer_id, frame}; a small fixed
-  // pool drains it. No thread is created per peer connection.
-  struct ServeJob {
-    std::uint64_t peer_id = 0;
-    Result<Frame> frame;
-  };
-  MsgQueue<ServeJob> serve_jobs_;
-  std::vector<std::thread> serve_pool_;
   std::atomic<std::uint64_t> next_peer_id_{1};
-
-  // Guards task_threads_ (appended by the main loop, drained by stop())
-  // and serve_peers_ (filled by accept_peer). Joins and endpoint
-  // destruction happen with the containers swapped out, never under the
-  // lock (an Endpoint dtor deregisters from the reactor, whose accept
-  // callback takes this lock).
-  Mutex threads_mutex_{lock_rank::Rank::worker_threads};
-  // running task executions
-  std::vector<std::thread> task_threads_ VINE_GUARDED_BY(threads_mutex_);
-  // peer connections, keyed by their serve-job id
+  // Guards serve_peers_ (filled by accept_peer, emptied by the serve pool
+  // and stop()). Endpoint destruction happens with the map swapped out or
+  // the entry erased first, never under the lock (an Endpoint dtor
+  // deregisters from the reactor, whose accept callback takes this lock).
+  Mutex peers_mutex_{lock_rank::Rank::worker_peers};
+  // peer connections, keyed by the id their receiver stamps on serve jobs
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> serve_peers_
-      VINE_GUARDED_BY(threads_mutex_);
+      VINE_GUARDED_BY(peers_mutex_);
 
   // Library instances by name, plus their sandboxes and result pumps.
   struct LibraryHost {
@@ -233,6 +216,18 @@ class Worker {
 
   /// Worker-local monotonic clock; all reported timestamps share it.
   SteadyClock clock_;
+
+  // Lazily grown pools (common/work_pool.hpp): an idle worker holds none of
+  // their threads. Declared last so they are joined before anything their
+  // jobs touch is destroyed.
+  /// Peer GETs: answering one only hands bytes to the transport, so a
+  /// handful of threads covers any number of peer connections.
+  WorkPool serve_pool_{4};
+  /// Fetches and mini tasks, capped at max_concurrent_transfers.
+  WorkPool transfer_pool_;
+  /// Command tasks and library starts. Uncapped: the manager's resource
+  /// admission bounds how many run at once.
+  WorkPool exec_pool_;
 };
 
 }  // namespace vine

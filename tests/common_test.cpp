@@ -1,6 +1,9 @@
-// Unit tests for src/common: Result, strings, units, rng, uuid, clock.
+// Unit tests for src/common: Result, strings, units, rng, uuid, clock,
+// work pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <set>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "common/strings.hpp"
 #include "common/units.hpp"
 #include "common/uuid.hpp"
+#include "common/work_pool.hpp"
 
 namespace vine {
 namespace {
@@ -291,6 +295,32 @@ TEST(Clock, SteadyClockMonotonic) {
   double b = c.now();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0.0);
+}
+
+// ------------------------------------------------------------- WorkPool
+
+TEST(WorkPool, GrowsOnlyToItsBusyJobsAndItsCap) {
+  WorkPool uncapped;
+  WorkPool capped(2);
+  EXPECT_EQ(uncapped.threads(), 0u);  // a pool with no work holds no thread
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> ran{0};
+  auto job = [&] {
+    gate.wait();
+    ++ran;
+  };
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(uncapped.submit(job));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(capped.submit(job));
+  EXPECT_EQ(uncapped.threads(), 3u);  // one per job running at once
+  EXPECT_EQ(capped.threads(), 2u);    // the rest wait in the queue
+
+  release.set_value();
+  uncapped.close();
+  capped.close();  // queued jobs still run before the threads are joined
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_FALSE(capped.submit([] {}));
 }
 
 }  // namespace

@@ -381,6 +381,9 @@ TEST(Integration, ServerlessLibraryAndFunctionCalls) {
   EXPECT_TRUE(outputs.count("model-v1:0"));
   // Startup paid once per worker, not once per call (the paper's claim).
   EXPECT_LE(init_count.load(), 2);
+  // The calls may all finish on the first instance before the second one's
+  // LibraryReady arrives; wait for it rather than race it.
+  ASSERT_TRUE(m.wait_for_library("itest.bgd", 2, kWait).ok());
   EXPECT_EQ(m.library_instances("itest.bgd"), 2);
 }
 
@@ -644,9 +647,10 @@ int settled_thread_count(int want, std::chrono::milliseconds timeout = 5000ms) {
   return n;
 }
 
-/// An idle cluster holds only each worker's fixed threads — control loop,
-/// serve pool, transfer pool — and no thread per connection, on either
-/// transport; a peer-transfer workload leaves it at the same count.
+/// An idle cluster holds only each worker's control thread — its pools
+/// start threads only for work — and no thread per connection, on either
+/// transport. A peer-transfer workload grows the pools by at most their
+/// caps plus the one exec thread each worker's single task needs.
 void check_thread_budget(bool tcp) {
   LocalClusterConfig cfg;
   cfg.workers = 4;
@@ -660,8 +664,7 @@ void check_thread_budget(bool tcp) {
   const int before = thread_count();
   auto cluster = LocalCluster::create(cfg);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
-  const int idle =
-      before + cfg.workers * (1 + 4 + cfg.max_concurrent_transfers_per_worker);
+  const int idle = before + cfg.workers * 1;
   EXPECT_EQ(settled_thread_count(idle), idle);
 
   // One temp produced on w0, read by consumers on every other worker.
@@ -683,7 +686,10 @@ void check_thread_budget(bool tcp) {
   ASSERT_EQ(reports.size(), static_cast<std::size_t>(cfg.workers));
   for (auto& [_, r] : reports) EXPECT_TRUE(r.ok()) << r.error_message;
   EXPECT_GE(m.stats().transfers_from_peers, 1);
-  EXPECT_EQ(settled_thread_count(idle), idle);
+  const int exec_threads_needed = 1;
+  EXPECT_LE(thread_count(),
+            idle + cfg.workers * (4 + cfg.max_concurrent_transfers_per_worker +
+                                  exec_threads_needed));
 }
 
 TEST(Integration, IdleClusterThreadBudgetChannels) { check_thread_budget(false); }

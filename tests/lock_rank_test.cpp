@@ -72,10 +72,10 @@ TEST_F(LockRankTest, SameRankNestedAcquisitionIsAViolation) {
 }
 
 TEST_F(LockRankTest, NonLifoReleaseIsTolerated) {
-  EXPECT_TRUE(note_acquire(Rank::worker_threads));
+  EXPECT_TRUE(note_acquire(Rank::worker_peers));
   EXPECT_TRUE(note_acquire(Rank::trace_sink));
   // Release the outer first (scoped_lock-ish teardown order).
-  note_release(Rank::worker_threads);
+  note_release(Rank::worker_peers);
   EXPECT_EQ(held_ranks().size(), 1u);
   EXPECT_EQ(held_ranks()[0], Rank::trace_sink);
   note_release(Rank::trace_sink);

@@ -1,16 +1,22 @@
 // Unit tests for src/worker components in isolation: CacheStore, Executor,
-// LibraryInstance, built-in functions.
+// LibraryInstance, built-in functions, and a Worker driven by a stand-in
+// manager.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 
 #include "archive/vpak.hpp"
+#include "common/uuid.hpp"
 #include "fsutil/fsutil.hpp"
+#include "net/channel.hpp"
+#include "net/msg_queue.hpp"
 #include "worker/builtins.hpp"
 #include "worker/cache_store.hpp"
 #include "worker/executor.hpp"
 #include "worker/library_instance.hpp"
+#include "worker/worker.hpp"
 
 namespace vine {
 namespace {
@@ -241,6 +247,54 @@ TEST_F(ExecutorTest, MemoryWithinAllocationSucceeds) {
   EXPECT_EQ(out.output, "1000\n");
 }
 
+TEST_F(ExecutorTest, UnlimitedCommandReturnsWithoutWaitingForACheck) {
+  // Reaping blocks on the child's exit; the check interval plays no part.
+  Executor slow_checks(ExecutorConfig{tmp_.path() / "sandboxes", "w-test", 1 << 20, 1.0},
+                       cache_);
+  auto start = std::chrono::steady_clock::now();
+  auto out = slow_checks.execute(command_task("true"));
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(out.ok) << out.error;
+  EXPECT_LT(elapsed, 100ms);
+}
+
+TEST_F(ExecutorTest, LimitedCommandFinishingEarlyReturnsWithoutWaitingForACheck) {
+  Executor slow_checks(ExecutorConfig{tmp_.path() / "sandboxes", "w-test", 1 << 20, 1.0},
+                       cache_);
+  auto t = command_task("true");
+  t.timeout_seconds = 30;
+  t.resources.disk_mb = 100;
+  t.resources.memory_mb = 100;
+  auto start = std::chrono::steady_clock::now();
+  auto out = slow_checks.execute(t);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(out.ok) << out.error;
+  EXPECT_LT(elapsed, 500ms);  // well inside the first 1 s check
+}
+
+TEST_F(ExecutorTest, MissingSandboxFailsCleanly) {
+  // The sandbox root lies below a regular file, so no sandbox can exist.
+  ASSERT_TRUE(write_file_atomic(tmp_.path() / "not-a-dir", "x").ok());
+  Executor broken(ExecutorConfig{tmp_.path() / "not-a-dir" / "sandboxes", "w-test",
+                                 1 << 20, 0.02},
+                  cache_);
+  auto out = broken.execute(command_task("true"));
+  EXPECT_FALSE(out.ok);
+  EXPECT_NE(out.error.find("sandbox"), std::string::npos) << out.error;
+}
+
+TEST_F(ExecutorTest, SpawnFailureIsAFailedOutcome) {
+  // A directory where the stdout capture file goes makes the spawn's open
+  // fail; the task fails with the reason instead of running.
+  auto ar = vpak_write({{VpakEntry::Kind::directory, "d", ""}});
+  ASSERT_TRUE(cache_.put_archive("md5-dir", ar, CacheLevel::workflow).ok());
+  auto t = command_task("echo never");
+  t.inputs.push_back({"md5-dir", ".vine-stdout", CacheLevel::workflow});
+  auto out = exec_->execute(t);
+  EXPECT_FALSE(out.ok);
+  EXPECT_NE(out.error.find("spawn failed"), std::string::npos) << out.error;
+}
+
 TEST_F(ExecutorTest, SandboxIsDeletedAfterRun) {
   (void)exec_->execute(command_task("true"));
   int remaining = 0;
@@ -369,6 +423,132 @@ TEST_F(LibraryInstanceTest, UnknownLibraryFailsInit) {
   ASSERT_TRUE(init.has_value());
   EXPECT_FALSE(init->get_bool("ok"));
   inst.stop();
+}
+
+// ------------------------------------------------------------ Worker
+
+/// Mappings in this process: one line each in /proc/self/maps.
+int map_count() {
+  std::ifstream maps("/proc/self/maps");
+  int n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+/// Stands in for the manager on an in-process channel: takes the worker's
+/// control connection and queues every message the worker sends.
+class FakeManager {
+ public:
+  FakeManager() {
+    auto l = ChannelFabric::instance().listen(
+        "worker-test-mgr-" + generate_token(6), [this](std::unique_ptr<Endpoint> ep) {
+          ep->set_receiver([this](Result<Frame> f) {
+            if (f.ok() && f->kind == Frame::Kind::json) inbox_.push(std::move(f->msg));
+          });
+          conn_ = std::move(ep);  // runs on the connecting thread
+        });
+    if (!l.ok()) {
+      ADD_FAILURE() << l.error().to_string();
+      return;
+    }
+    listener_ = std::move(*l);
+  }
+
+  std::string address() const { return listener_ ? listener_->address() : ""; }
+
+  void send(const proto::AnyMessage& msg) {
+    ASSERT_TRUE(conn_);
+    ASSERT_TRUE(conn_->send_json(proto::encode(msg)).ok());
+  }
+
+  /// Next message from the worker of type T, skipping others.
+  template <typename T>
+  std::optional<T> next(std::chrono::milliseconds timeout = 10s) {
+    while (auto v = inbox_.pop(timeout)) {
+      auto msg = proto::decode(*v);
+      if (msg.ok() && std::holds_alternative<T>(*msg)) return std::get<T>(*msg);
+    }
+    return std::nullopt;
+  }
+
+ private:
+  MsgQueue<json::Value> inbox_;
+  std::unique_ptr<Listener> listener_;
+  std::unique_ptr<Endpoint> conn_;
+};
+
+/// Run `total` tasks with at most `in_flight` outstanding, as the manager's
+/// admission would; every one must succeed.
+template <typename MakeTask>
+void run_tasks(FakeManager& mgr, int total, int in_flight, MakeTask make_task) {
+  int sent = 0;
+  for (int done = 0; done < total; ++done) {
+    while (sent < total && sent - done < in_flight) {
+      mgr.send(proto::RunTaskMsg{make_task(static_cast<TaskId>(100 + sent))});
+      ++sent;
+    }
+    auto d = mgr.next<proto::TaskDoneMsg>();
+    ASSERT_TRUE(d.has_value()) << "no completion after " << done;
+    ASSERT_TRUE(d->ok) << d->error;
+  }
+}
+
+TEST(WorkerTest, ThousandsOfTasksAndCallsDoNotGrowTheMappings) {
+  LibraryBlueprint bp;
+  bp.name = "wtest.echo";
+  bp.functions["echo"] = [](const LibraryState&, const std::string& args,
+                            const FunctionContext&) -> Result<std::string> {
+    return args;
+  };
+  LibraryRegistry::instance().register_library(bp);
+
+  TempDir tmp{"vine_worker_maps"};
+  FakeManager mgr;
+  WorkerConfig cfg;
+  cfg.id = "w-maps";
+  cfg.manager_addr = mgr.address();
+  cfg.root_dir = tmp.path();
+  cfg.heartbeat_interval_ms = 0;
+  auto worker = Worker::connect(cfg);
+  ASSERT_TRUE(worker.ok()) << worker.error().to_string();
+  (*worker)->start();
+  ASSERT_TRUE(mgr.next<proto::HelloMsg>().has_value());
+
+  proto::WireTask lib;
+  lib.id = 1;
+  lib.kind = TaskKind::library;
+  lib.library_name = "wtest.echo";
+  mgr.send(proto::RunTaskMsg{lib});
+  ASSERT_TRUE(mgr.next<proto::LibraryReadyMsg>().has_value());
+  const int idle = map_count();
+
+  constexpr int kTasks = 2000;
+  constexpr int kInFlight = 8;
+  run_tasks(mgr, kTasks, kInFlight, [](TaskId id) {
+    proto::WireTask t;
+    t.id = id;
+    t.command = "true";
+    return t;
+  });
+  run_tasks(mgr, kTasks, kInFlight, [](TaskId id) {
+    proto::WireTask t;
+    t.id = id;
+    t.kind = TaskKind::function_call;
+    t.library_name = "wtest.echo";
+    t.function_name = "echo";
+    t.function_args = "x";
+    return t;
+  });
+
+  // The exec and calls pools grow to about the in-flight peak (at most
+  // twice it: a finishing thread is not idle yet when the next job comes)
+  // and stay there. A pool thread costs a stack, its guard page, a malloc
+  // arena and, under a sanitizer, its runtime's per-thread state: well
+  // under 10 mappings. A thread kept per task or call would instead add at
+  // least 2 mappings for each of the 4000.
+  constexpr int kMappingsPerThread = 10;
+  EXPECT_LE(map_count(), idle + 2 * (2 * kInFlight) * kMappingsPerThread);
+  (*worker)->stop();
 }
 
 }  // namespace

@@ -26,6 +26,12 @@
 //                    redundancy_.plan calls outside sched/, control/ and
 //                    redundancy/: placement and transfer decisions live in
 //                    control::ControlPlane, once for both halves
+//   fork             fork() / vfork(): the worker is multithreaded, so a
+//                    child is launched with posix_spawn, never by copying
+//                    the whole process
+//   fixed-sleep      sleep_for / sleep_until outside sim/: a thread that
+//                    sleeps a fixed time where it could wait on the event
+//                    (a child's exit, a queue, a deadline on a condvar)
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -181,6 +187,7 @@ void scan_file(const fs::path& file, const std::string& rel,
   // net/ (tcp.cpp adapters, channel transport) must stay I/O-free.
   const bool is_reactor_impl = rel == "net/reactor.cpp";
   const bool is_net = rel.rfind("net/", 0) == 0;
+  const bool is_sim = rel.rfind("sim/", 0) == 0;
   const bool is_control_policy = rel.rfind("sched/", 0) == 0 ||
                                  rel.rfind("control/", 0) == 0 ||
                                  rel.rfind("redundancy/", 0) == 0;
@@ -417,6 +424,37 @@ void scan_file(const fs::path& file, const std::string& rel,
               std::string(fn) +
                   ") outside sched/, control/ and redundancy/; decisions belong "
                   "to control::ControlPlane");
+        }
+      }
+    }
+
+    // fork: copying a multithreaded process page table per task is the
+    // launch cost posix_spawn exists to avoid, and between fork() and exec
+    // only async-signal-safe calls are legal.
+    for (const char* fn : {"fork", "vfork"}) {
+      std::size_t pos = 0;
+      if (find_token(c, fn, &pos)) {
+        std::size_t after = pos + std::string(fn).size();
+        if (after < c.size() && c[after] == '(') {
+          add(i, "fork",
+              std::string(fn) + "() is banned; launch children with posix_spawn");
+        }
+      }
+    }
+
+    // fixed-sleep: a sleep in the runtime is latency nobody can cut short;
+    // wait on the event itself, or on a condvar with a deadline. The
+    // simulator's virtual time never sleeps, so sim/ is out of scope.
+    if (!is_sim) {
+      for (const char* fn : {"sleep_for", "sleep_until"}) {
+        std::size_t pos = 0;
+        if (find_token(c, fn, &pos)) {
+          std::size_t after = pos + std::string(fn).size();
+          if (after < c.size() && c[after] == '(') {
+            add(i, "fixed-sleep",
+                std::string(fn) +
+                    "() outside sim/; wait on the event or a condvar deadline");
+          }
         }
       }
     }
