@@ -9,12 +9,11 @@
 //     per frame and one parked reader thread per connection.
 //   * BM_BlobServe — loopback GB/s streaming a 64 MB cached blob, the
 //     worker→worker peer-serve path. sendfile moves the bytes without a
-//     userspace copy; BM_BlobServeFallback measures the pread+writev path
-//     (VINE_DISABLE_SENDFILE builds) and is informational, not gated.
+//     userspace copy.
 //
 // The same source builds against the pre-reactor transport when
-// VINE_BENCH_LEGACY_SEND is defined (no send_blob_file, no push-mode
-// receivers, pull-mode accept()): that is how the baseline numbers in
+// VINE_BENCH_LEGACY_SEND is defined (no send_blob_file, pull-mode recv()
+// and accept() instead of receivers): that is how the baseline numbers in
 // tools/bench.sh were measured — see the re-baselining note there.
 #include <benchmark/benchmark.h>
 
@@ -35,7 +34,6 @@
 #include "net/tcp.hpp"
 #ifndef VINE_BENCH_LEGACY_SEND
 #include "net/msg_queue.hpp"
-#include "net/reactor.hpp"
 #endif
 
 namespace {
@@ -47,15 +45,15 @@ using vine::Listener;
 
 /// Serve a file-backed blob the way the worker does: zero-copy on the
 /// reactor transport, read-then-send on the legacy one.
-vine::Status send_file_frame(Endpoint& ep, const std::string& tag,
+vine::Status send_file_frame(Endpoint& ep, const std::string& name,
                              const std::string& path, std::uint64_t size) {
 #ifndef VINE_BENCH_LEGACY_SEND
-  return ep.send_blob_file(tag, path, size);
+  return ep.send_blob_file(name, path, size);
 #else
   std::ifstream in(path, std::ios::binary);
   std::string data(size, '\0');
   in.read(data.data(), static_cast<std::streamsize>(size));
-  return ep.send_blob(tag, std::move(data));
+  return ep.send_blob(name, std::move(data));
 #endif
 }
 
@@ -192,7 +190,7 @@ constexpr std::uint64_t kBlobSize = 64ull * 1024 * 1024;
 
 /// One 64 MB file-backed blob per iteration over a single loopback
 /// connection — the peer-transfer serve path. Reported as bytes/s.
-void blob_serve_loop(benchmark::State& state) {
+void BM_BlobServe(benchmark::State& state) {
   const auto path = std::filesystem::temp_directory_path() /
                     "vine-micro-net-blob.bin";
   {
@@ -206,6 +204,11 @@ void blob_serve_loop(benchmark::State& state) {
 
   Loopback net;
   auto [client, server] = net.connect();
+#ifndef VINE_BENCH_LEGACY_SEND
+  auto frames = std::make_shared<vine::MsgQueue<vine::Result<Frame>>>();
+  client->set_receiver(
+      [frames](vine::Result<Frame> f) { frames->push(std::move(f)); });
+#endif
 
   for (auto _ : state) {
     // Send from a helper thread: the legacy transport's send_blob is a
@@ -216,8 +219,13 @@ void blob_serve_loop(benchmark::State& state) {
         std::abort();
       }
     });
+#ifndef VINE_BENCH_LEGACY_SEND
+    auto got = frames->pop(30000ms);
+    if (!got || !got->ok() || (*got)->data.size() != kBlobSize) std::abort();
+#else
     auto got = client->recv(30000ms);
     if (!got.ok() || got->data.size() != kBlobSize) std::abort();
+#endif
     sender.join();
   }
   state.SetBytesProcessed(state.iterations() *
@@ -225,21 +233,7 @@ void blob_serve_loop(benchmark::State& state) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
 }
-
-void BM_BlobServe(benchmark::State& state) { blob_serve_loop(state); }
 BENCHMARK(BM_BlobServe)->UseRealTime();
-
-#ifndef VINE_BENCH_LEGACY_SEND
-/// The pread+writev fallback (VINE_DISABLE_SENDFILE): same wire bytes,
-/// one extra userspace copy. Informational — shows what the build flag
-/// costs on platforms without sendfile.
-void BM_BlobServeFallback(benchmark::State& state) {
-  vine::set_sendfile_enabled(false);
-  blob_serve_loop(state);
-  vine::set_sendfile_enabled(true);
-}
-BENCHMARK(BM_BlobServeFallback)->UseRealTime();
-#endif
 
 }  // namespace
 

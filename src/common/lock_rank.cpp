@@ -9,8 +9,8 @@ namespace {
 
 // Per-thread stack of held ranks. Deliberately trivially destructible (a
 // fixed array, not a vector): ranked mutexes are locked from static
-// destructors at process exit (the ReactorPool singleton stopping its
-// shards), which on the main thread runs *after* thread_local destructors
+// destructors at process exit (the Reactor singleton stopping its loop
+// thread), which on the main thread runs *after* thread_local destructors
 // — a vector here would already be destroyed. Depth is bounded by the
 // number of distinct ranks (same-rank nesting is itself a violation).
 constexpr int kMaxHeld = 32;

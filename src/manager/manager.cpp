@@ -82,28 +82,28 @@ Status Manager::start() {
                             on_accept));
   } else if (config_.listen == "tcp") {
     VINE_TRY(listener_, tcp_listen(0, on_accept));
-    // Data-plane gauges, summed over the reactor shards at snapshot time.
-    // Only wired up when this manager actually runs the TCP transport —
-    // touching the pool would otherwise spin up reactor threads for
+    // Data-plane gauges, read from the reactor at snapshot time. Only
+    // wired up when this manager actually runs the TCP transport —
+    // touching the reactor would otherwise spin up its thread for
     // nothing. Runtime golden traces strip `counters` events, so the
     // extra names never perturb trace comparisons.
     metrics_.expose_fn("net.reactor_wakeups",
-                       [] { return ReactorPool::instance().stats().wakeups; });
+                       [] { return Reactor::instance().stats().wakeups; });
     metrics_.expose_fn("net.frames_in",
-                       [] { return ReactorPool::instance().stats().frames_in; });
+                       [] { return Reactor::instance().stats().frames_in; });
     metrics_.expose_fn("net.frames_out",
-                       [] { return ReactorPool::instance().stats().frames_out; });
+                       [] { return Reactor::instance().stats().frames_out; });
     metrics_.expose_fn("net.bytes_in",
-                       [] { return ReactorPool::instance().stats().bytes_in; });
+                       [] { return Reactor::instance().stats().bytes_in; });
     metrics_.expose_fn("net.bytes_out",
-                       [] { return ReactorPool::instance().stats().bytes_out; });
+                       [] { return Reactor::instance().stats().bytes_out; });
     metrics_.expose_fn("net.sendfile_bytes", [] {
-      return ReactorPool::instance().stats().sendfile_bytes;
+      return Reactor::instance().stats().sendfile_bytes;
     });
     metrics_.expose_fn("net.writev_calls",
-                       [] { return ReactorPool::instance().stats().writev_calls; });
+                       [] { return Reactor::instance().stats().writev_calls; });
     metrics_.expose_fn("net.conns_open",
-                       [] { return ReactorPool::instance().stats().conns_open; });
+                       [] { return Reactor::instance().stats().conns_open; });
   } else if (config_.listen.rfind("chan:", 0) == 0) {
     VINE_TRY(listener_, ChannelFabric::instance().listen(
                             config_.listen.substr(5), on_accept));
@@ -273,18 +273,13 @@ Result<TaskId> Manager::submit(TaskSpec spec) {
 }
 
 Result<TaskReport> Manager::wait(std::chrono::milliseconds timeout) {
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (true) {
-    if (!completed_.empty()) {
-      TaskReport r = std::move(completed_.front());
-      completed_.pop_front();
-      return r;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout, "no task completed in time"};
-    }
-    pump(20ms);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  if (!pump_until(deadline, [this] { return !completed_.empty(); })) {
+    return Error{Errc::timeout, "no task completed in time"};
   }
+  TaskReport r = std::move(completed_.front());
+  completed_.pop_front();
+  return r;
 }
 
 bool Manager::idle() const { return outstanding() == 0; }
@@ -372,76 +367,50 @@ Result<std::string> Manager::fetch_file(const FileRef& file,
   if (name.empty()) {
     return Error{Errc::invalid_argument, "file has no cache name yet"};
   }
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
   // Find (or wait for) a worker holding a present replica.
-  WorkerId holder;
-  while (true) {
-    auto holders = plane_.replicas().workers_with(name);
-    if (!holders.empty()) {
-      holder = holders.front();
-      break;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout, "no replica of " + name + " appeared"};
-    }
-    pump(20ms);
+  if (!pump_until(deadline,
+                  [&] { return !plane_.replicas().workers_with(name).empty(); })) {
+    return Error{Errc::timeout, "no replica of " + name + " appeared"};
   }
+  const WorkerId holder = plane_.replicas().workers_with(name).front();
 
-  std::string request_id = generate_uuid();
+  // The reply carries the object's bytes in the same frame.
+  const std::string request_id = generate_uuid();
   send_to_worker(holder, proto::SendFileMsg{request_id, name});
-
-  // Wait for the reply header, then its blob.
-  while (!file_replies_.count(request_id)) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout, "send_file reply timed out"};
-    }
-    pump(20ms);
+  if (!pump_until(deadline, [&] { return file_replies_.count(request_id) > 0; })) {
+    return Error{Errc::timeout, "send_file reply timed out"};
   }
-  proto::FileDataMsg reply = std::move(file_replies_[request_id]);
-  file_replies_.erase(request_id);
-  if (!reply.ok) {
-    return Error{Errc::not_found, "worker could not send " + name + ": " + reply.error};
+  Result<std::string> reply = std::move(file_replies_.extract(request_id).mapped());
+  if (!reply.ok()) {
+    return Error{Errc::not_found,
+                 "worker could not send " + name + ": " + reply.error().message};
   }
-  while (!blob_stash_.count(name)) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout, "send_file blob timed out"};
-    }
-    pump(20ms);
-  }
-  std::string data = std::move(blob_stash_[name]);
-  blob_stash_.erase(name);
-  return data;
+  return reply;
 }
 
 // ------------------------------------------------------------ cluster
 
 Status Manager::wait_for_workers(int count, std::chrono::milliseconds timeout) {
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (worker_count() < count) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout,
-                   "only " + std::to_string(worker_count()) + " of " +
-                       std::to_string(count) + " workers joined"};
-    }
-    pump(20ms);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  if (pump_until(deadline, [&] { return worker_count() >= count; })) {
+    return Status::success();
   }
-  return Status::success();
+  return Error{Errc::timeout, "only " + std::to_string(worker_count()) + " of " +
+                                  std::to_string(count) + " workers joined"};
 }
 
 Status Manager::wait_for_library(const std::string& library_name, int count,
                                  std::chrono::milliseconds timeout) {
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (library_instances(library_name) < count) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Error{Errc::timeout,
-                   "only " + std::to_string(library_instances(library_name)) +
-                       " of " + std::to_string(count) + " instances of " +
-                       library_name + " ready"};
-    }
-    pump(20ms);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  if (pump_until(deadline,
+                 [&] { return library_instances(library_name) >= count; })) {
+    return Status::success();
   }
-  return Status::success();
+  return Error{Errc::timeout,
+               "only " + std::to_string(library_instances(library_name)) + " of " +
+                   std::to_string(count) + " instances of " + library_name +
+                   " ready"};
 }
 
 std::vector<WorkerSnapshot> Manager::workers_snapshot() const {
@@ -493,6 +462,15 @@ void Manager::shutdown() {
 
 // ------------------------------------------------------------ pumping
 
+bool Manager::pump_until(std::chrono::steady_clock::time_point deadline,
+                         const std::function<bool()>& done) {
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    pump(20ms);
+  }
+  return true;
+}
+
 void Manager::pump(std::chrono::milliseconds timeout) {
   // An owed pass runs now; only an idle manager blocks for events.
   auto ev = pass_due_ ? inbox_.try_pop() : inbox_.pop(timeout);
@@ -531,10 +509,6 @@ bool Manager::handle_event(Event ev) {
   if (ev.closed) {
     handle_worker_lost(ev.conn_id);
     return true;
-  }
-  if (ev.frame.kind == Frame::Kind::blob) {
-    blob_stash_[ev.frame.tag] = std::move(ev.frame.data);
-    return false;
   }
   auto msg = proto::decode(ev.frame.msg);
   if (!msg.ok()) {
@@ -575,8 +549,16 @@ bool Manager::handle_event(Event ev) {
             VINE_LOG_INFO("manager", "library %s ready on %s",
                           m.library_name.c_str(), worker.c_str());
           }
-        } else if constexpr (std::is_same_v<T, proto::FileDataMsg>) {
-          file_replies_[m.request_id] = m;
+        } else if constexpr (std::is_same_v<T, proto::ObjMsg>) {
+          // A send_file reply; its frame carries the object's bytes.
+          if (!m.ok) {
+            file_replies_.emplace(m.request_id, Error{Errc::not_found, m.error});
+          } else if (ev.frame.kind != Frame::Kind::blob) {
+            file_replies_.emplace(m.request_id,
+                                  Error{Errc::protocol_error, "reply without bytes"});
+          } else {
+            file_replies_.emplace(m.request_id, std::move(ev.frame.data));
+          }
           return false;
         } else if constexpr (std::is_same_v<T, proto::HeartbeatMsg>) {
           return false;  // liveness was refreshed above
@@ -883,7 +865,7 @@ bool Manager::start_transfer(const control::TransferOrder& order) {
   emit(std::move(begin));
 
   if (order.source.kind == TransferSource::Kind::manager) {
-    // Push the bytes ourselves: header then blob.
+    // Push the bytes ourselves, in one frame with the put.
     proto::PutMsg msg;
     msg.transfer_id = order.uuid;
     msg.cache_name = order.cache_name;
@@ -897,8 +879,8 @@ bool Manager::start_transfer(const control::TransferOrder& order) {
     }
     auto it = workers_.find(order.dest);
     if (it != workers_.end()) {
-      it->second.endpoint->send_json(proto::encode(proto::AnyMessage(msg)));
-      it->second.endpoint->send_blob(order.cache_name, std::move(payload));
+      it->second.endpoint->send_blob(proto::encode(proto::AnyMessage(msg)),
+                                     std::move(payload));
     }
     return true;
   }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -246,6 +247,11 @@ class Manager : private control::Effects {
 
   // --- event pumping (application thread) ---
   void pump(std::chrono::milliseconds timeout);
+  /// Pump until `done()` holds (checked before each pump) or `deadline`
+  /// passes; false on timeout. The one wait loop behind wait(),
+  /// fetch_file() and the wait_for_* calls.
+  bool pump_until(std::chrono::steady_clock::time_point deadline,
+                  const std::function<bool()>& done);
   /// True when the event may have changed control-plane state.
   bool handle_event(Event ev);
   void handle_hello(const std::string& conn_id, const proto::HelloMsg& msg);
@@ -324,9 +330,9 @@ class Manager : private control::Effects {
   // Outstanding replication goals: cache_name -> desired replica count.
   std::map<FileId, int> replication_goals_;
 
-  // Blobs that arrived for fetch_file round trips, keyed by tag.
-  std::map<std::string, std::string> blob_stash_;
-  std::map<std::string, proto::FileDataMsg> file_replies_;  // by request_id
+  // Replies to fetch_file's send_file requests by request_id: the object's
+  // bytes, or why the worker could not send them.
+  std::map<std::string, Result<std::string>> file_replies_;
 
   FileId next_file_id_ = 1;
   TaskId next_task_id_ = 1;

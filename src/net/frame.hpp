@@ -1,11 +1,12 @@
 // Wire frames and the Endpoint/Listener transport abstraction.
 //
-// A frame is either a JSON control message or a tagged binary blob (file
-// payloads). On TCP the encoding is:
+// A frame is a JSON message, alone or followed by the bytes it describes (a
+// blob frame: one cache object and its header travel together). On TCP the
+// encoding is:
 //   u32  payload length (LE)      -- excludes this 5-byte header
 //   u8   kind: 'J' json | 'B' blob
 //   for 'J': payload = UTF-8 JSON text
-//   for 'B': payload = u32 tag length, tag bytes, blob bytes
+//   for 'B': payload = u32 message length, JSON message, blob bytes
 // In-process channels pass Frame objects directly (no serialization).
 #pragma once
 
@@ -25,9 +26,8 @@ namespace vine {
 struct Frame {
   enum class Kind : char { json = 'J', blob = 'B' };
   Kind kind = Kind::json;
-  json::Value msg;   ///< valid when kind == json
-  std::string tag;   ///< blob identity (cache name); valid when kind == blob
-  std::string data;  ///< blob bytes; valid when kind == blob
+  json::Value msg;   ///< the message; valid for both kinds
+  std::string data;  ///< the bytes it describes; valid when kind == blob
 
   static Frame make_json(json::Value v) {
     Frame f;
@@ -35,10 +35,10 @@ struct Frame {
     f.msg = std::move(v);
     return f;
   }
-  static Frame make_blob(std::string tag, std::string data) {
+  static Frame make_blob(json::Value msg, std::string data) {
     Frame f;
     f.kind = Kind::blob;
-    f.tag = std::move(tag);
+    f.msg = std::move(msg);
     f.data = std::move(data);
     return f;
   }
@@ -47,26 +47,17 @@ struct Frame {
 /// Serialize a frame to the TCP wire format (header + payload).
 std::string encode_frame(const Frame& frame);
 
-/// Decode one frame from a complete payload (header already stripped).
-Result<Frame> decode_frame_payload(char kind, std::string payload);
-
-/// Zero-intermediate-copy variant: decodes directly out of the caller's
-/// buffer (the reactor's batched inbound buffer). Blob bytes are copied
-/// exactly once, into the returned Frame.
+/// Decode one frame from a complete payload (header already stripped),
+/// directly out of the caller's buffer (the reactor's batched inbound
+/// buffer). Blob bytes are copied exactly once, into the returned Frame.
 Result<Frame> decode_frame_view(char kind, std::string_view payload);
 
-/// Append a little-endian u32 to `out` (the wire integer encoding).
-void append_u32(std::string& out, std::uint32_t v);
+/// Store `v` little-endian in the 4 bytes at `p` (the wire integer
+/// encoding).
+void write_u32(char* p, std::uint32_t v);
 
 /// Read a little-endian u32 from `p` (must have 4 readable bytes).
 std::uint32_t read_u32(const char* p);
-
-/// Append the 5-byte frame header (payload length + kind) to `out`. The
-/// reactor builds header+tag into one reused scratch buffer and hands the
-/// payload to writev/sendfile separately, so no contiguous wire copy of the
-/// whole frame is ever made.
-void append_frame_header(std::string& out, std::uint32_t payload_len,
-                         Frame::Kind kind);
 
 /// Frame payloads above this are rejected as corrupt/hostile (512 MB covers
 /// the largest assets in the paper's workloads).
@@ -74,8 +65,8 @@ inline constexpr std::uint32_t kMaxFramePayload = 512u * 1024 * 1024;
 
 /// A bidirectional, message-oriented connection. Thread contract: send()
 /// is fully thread safe (frames from concurrent senders interleave at
-/// frame granularity, never within one); recv() must be called from one
-/// thread at a time.
+/// frame granularity, never within one); every inbound frame goes to the
+/// one receiver installed with set_receiver().
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -96,14 +87,6 @@ class Endpoint {
   /// endpoint. It is never invoked after close() returns.
   virtual void set_receiver(std::function<void(Result<Frame>)> fn) = 0;
 
-  /// Pull adapter over set_receiver for callers that want a blocking read
-  /// (worker control loop, peer fetches, tests): the first call installs a
-  /// receiver feeding an internal queue, so an endpoint is read either by
-  /// recv() or by its own receiver, never both. Waits up to `timeout`;
-  /// Errc::timeout when nothing arrived, otherwise the next frame or the
-  /// terminal error (repeated on every later call).
-  Result<Frame> recv(std::chrono::milliseconds timeout);
-
   /// Close the connection. Both ends' receivers get their terminal error;
   /// no receiver callback runs on this endpoint after close() returns.
   virtual void close() = 0;
@@ -118,22 +101,18 @@ class Endpoint {
   /// channels deliver whole frames) ignore it.
   virtual void set_io_timeout(std::chrono::milliseconds) {}
 
-  /// Send a blob frame whose payload is the contents of `path` (`size`
+  /// Send a blob frame carrying `msg` and the contents of `path` (`size`
   /// bytes). The TCP transport streams the file zero-copy via sendfile;
   /// the base implementation reads the file and falls back to send_blob.
   /// The on-wire bytes are identical either way.
-  virtual Status send_blob_file(const std::string& tag, const std::string& path,
+  virtual Status send_blob_file(const json::Value& msg, const std::string& path,
                                 std::uint64_t size);
 
   // Convenience wrappers.
   Status send_json(json::Value v) { return send(Frame::make_json(std::move(v))); }
-  Status send_blob(std::string tag, std::string data) {
-    return send(Frame::make_blob(std::move(tag), std::move(data)));
+  Status send_blob(json::Value msg, std::string data) {
+    return send(Frame::make_blob(std::move(msg), std::move(data)));
   }
-
- private:
-  struct PullQueue;  ///< recv()'s queue; created by its first call
-  std::shared_ptr<PullQueue> pull_;
 };
 
 /// Accepts incoming connections (the manager's worker port and each

@@ -9,15 +9,11 @@
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
-#include <unistd.h>
-#ifndef VINE_DISABLE_SENDFILE
 #include <sys/sendfile.h>
-#endif
+#include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 
 namespace vine {
 
@@ -54,139 +50,85 @@ constexpr std::size_t kSendfileChunk = 1u * 1024 * 1024;
 constexpr std::size_t kSpareHeadCap = 64u * 1024;
 constexpr std::size_t kSpareHeads = 8;
 
-std::atomic<bool> g_sendfile_enabled{
-#ifdef VINE_DISABLE_SENDFILE
-    false
-#else
-    true
-#endif
-};
-
 }  // namespace
-
-bool sendfile_enabled() {
-  return g_sendfile_enabled.load(std::memory_order_relaxed);
-}
-
-void set_sendfile_enabled(bool on) {
-#ifdef VINE_DISABLE_SENDFILE
-  (void)on;  // the sendfile call is compiled out; the fallback is the path
-#else
-  g_sendfile_enabled.store(on, std::memory_order_relaxed);
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // Reactor
 
-/// One epoll shard: the event loop thread plus the op queue app threads use
-/// to reach it. All reads, writes, accepts, registration, and teardown of
-/// its sockets happen on the loop thread; everything reactor-thread-confined
-/// in ReactorConn belongs to this thread.
-class Reactor {
- public:
-  struct Op {
-    enum class Kind { add_conn, del_conn, flush, add_listener, del_listener, stop };
-    Kind kind;
-    ConnPtr conn;
-    ReactorListener* listener = nullptr;
-  };
+Reactor::Reactor() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wakefd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wakefd_;
+  ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakefd_, &ev);
+  thread_ = std::thread([this] { run(); });
+}
 
-  Reactor() {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    wakefd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wakefd_;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakefd_, &ev);
-    thread_ = std::thread([this] { run(); });
+Reactor::~Reactor() {
+  enqueue(Op{Op::Kind::stop, nullptr, nullptr});
+  thread_.join();
+  ::close(wakefd_);
+  ::close(epfd_);
+}
+
+const std::shared_ptr<Reactor>& Reactor::shared() {
+  static const std::shared_ptr<Reactor> reactor(new Reactor());
+  return reactor;
+}
+
+Reactor& Reactor::instance() { return *shared(); }
+
+void Reactor::enqueue(Op op) {
+  {
+    MutexLock lock(ops_mu_);
+    ops_.push_back(std::move(op));
   }
-
-  ~Reactor() {
-    enqueue(Op{Op::Kind::stop, nullptr, nullptr});
-    thread_.join();
-    ::close(wakefd_);
-    ::close(epfd_);
+  // One eventfd write per wakeup, not per op: the loop clears kicked_
+  // before draining, so a racing enqueue either lands in this drain or
+  // re-arms the eventfd itself.
+  if (!kicked_.exchange(true, std::memory_order_acq_rel)) {
+    ::eventfd_write(wakefd_, 1);
   }
+}
 
-  /// Queue an op for the loop thread and wake it. Safe from any thread.
-  void enqueue(Op op) {
-    {
-      MutexLock lock(ops_mu_);
-      ops_.push_back(std::move(op));
-    }
-    // One eventfd write per wakeup, not per op: the loop clears kicked_
-    // before draining, so a racing enqueue either lands in this drain or
-    // re-arms the eventfd itself.
-    if (!kicked_.exchange(true, std::memory_order_acq_rel)) {
-      ::eventfd_write(wakefd_, 1);
-    }
-  }
+ReactorStats Reactor::stats() const {
+  ReactorStats s;
+  s.wakeups = wakeups_.load(std::memory_order_relaxed);
+  s.frames_in = frames_in_.load(std::memory_order_relaxed);
+  s.frames_out = frames_out_.load(std::memory_order_relaxed);
+  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
+  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  s.sendfile_bytes = sendfile_bytes_.load(std::memory_order_relaxed);
+  s.writev_calls = writev_calls_.load(std::memory_order_relaxed);
+  s.accepts = accepts_.load(std::memory_order_relaxed);
+  s.conns_open = conns_open_.load(std::memory_order_relaxed);
+  return s;
+}
 
-  bool on_this_thread() const { return t_current == this; }
+ConnPtr Reactor::adopt(int fd, std::string peer) {
+  auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
+      shared(), fd, std::move(peer), /*connecting=*/false));
+  enqueue(Op{Op::Kind::add_conn, c, nullptr});
+  return c;
+}
 
-  ReactorStats snapshot() const {
-    ReactorStats s;
-    s.wakeups = wakeups_.load(std::memory_order_relaxed);
-    s.frames_in = frames_in_.load(std::memory_order_relaxed);
-    s.frames_out = frames_out_.load(std::memory_order_relaxed);
-    s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-    s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-    s.sendfile_bytes = sendfile_bytes_.load(std::memory_order_relaxed);
-    s.writev_calls = writev_calls_.load(std::memory_order_relaxed);
-    s.accepts = accepts_.load(std::memory_order_relaxed);
-    s.conns_open = conns_open_.load(std::memory_order_relaxed);
-    return s;
-  }
+ConnPtr Reactor::adopt_connecting(int fd, std::string peer,
+                                  std::chrono::milliseconds timeout) {
+  auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
+      shared(), fd, std::move(peer), /*connecting=*/true));
+  c->connect_timeout_ = timeout;
+  enqueue(Op{Op::Kind::add_conn, c, nullptr});
+  return c;
+}
 
- private:
-  friend class ReactorConn;
-  friend class ReactorListener;
-  friend class ReactorPool;
-
-  using Clock = std::chrono::steady_clock;
-
-  static thread_local Reactor* t_current;
-
-  void run();
-  void drain_ops(bool* stopping);
-  void do_add_conn(ConnPtr c);
-  void remove_now(const ConnPtr& c);
-  void do_add_listener(ReactorListener* l);
-  void remove_listener_now(ReactorListener* l);
-  void do_accept(ReactorListener* l);
-  void do_read(ReactorConn* c);
-  void finish_connect(ReactorConn* c);
-  void flush_writes(ReactorConn* c);
-  void teardown(ReactorConn* c, Error err);
-  void update_events(ReactorConn* c);
-  void set_deadline(ReactorConn* c, Clock::time_point tp);
-  void scan_deadlines();
-
-  int epfd_ = -1;
-  int wakefd_ = -1;
-  std::thread thread_;
-
-  // Guards ops_, the cross-thread mailbox into the loop: app threads push
-  // registration/flush/teardown ops under it, the loop thread swaps the
-  // vector out. Never held across a syscall or another lock.
-  Mutex ops_mu_{lock_rank::Rank::net_reactor};
-  std::vector<Op> ops_ VINE_GUARDED_BY(ops_mu_);
-  std::atomic<bool> kicked_{false};
-
-  // Loop-thread-confined socket registries (epoll events carry fds, so a
-  // teardown earlier in a batch simply makes later lookups miss).
-  std::unordered_map<int, ConnPtr> conns_;
-  std::unordered_map<int, ReactorListener*> listeners_;
-  int armed_deadlines_ = 0;  ///< conns with an active deadline_
-  std::string read_scratch_;  ///< recv landing block, reused across conns
-  std::vector<Frame> decode_batch_;  ///< per-drain frame batch, reused
-
-  // Data-plane counters; written on the loop thread, sampled from anywhere.
-  std::atomic<std::int64_t> wakeups_{0}, frames_in_{0}, frames_out_{0},
-      bytes_in_{0}, bytes_out_{0}, sendfile_bytes_{0}, writev_calls_{0},
-      accepts_{0}, conns_open_{0};
-};
+std::shared_ptr<ReactorListener> Reactor::listen(
+    int fd, std::string address, ReactorListener::AcceptFn on_accept) {
+  std::shared_ptr<ReactorListener> l(new ReactorListener(
+      shared(), fd, std::move(address), std::move(on_accept)));
+  enqueue(Op{Op::Kind::add_listener, nullptr, l.get()});
+  return l;
+}
 
 thread_local Reactor* Reactor::t_current = nullptr;
 
@@ -363,13 +305,7 @@ void Reactor::do_accept(ReactorListener* l) {
     char ip[INET_ADDRSTRLEN] = "?";
     ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
     std::string peer = std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
-    // Accepted connections round-robin across shards for read/write-side
-    // parallelism; this listener only performs the accept.
-    auto shard = ReactorPool::instance().next_shard();
-    auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
-        shard, cfd, std::move(peer), /*connecting=*/false));
-    shard->enqueue(Op{Op::Kind::add_conn, c, nullptr});
-    l->on_accept_(std::move(c));
+    l->on_accept_(adopt(cfd, std::move(peer)));
   }
 }
 
@@ -490,63 +426,34 @@ void Reactor::flush_writes(ReactorConn* c) {
       bool head_done = front.head_off >= front.head.size();
       bool body_done = front.body_off >= front.body.size();
       if (front.file_fd >= 0 && head_done && body_done && front.file_left > 0) {
-        if (sendfile_enabled()) {
-#ifndef VINE_DISABLE_SENDFILE
-          std::size_t want = front.file_left < kSendfileChunk
-                                 ? static_cast<std::size_t>(front.file_left)
-                                 : kSendfileChunk;
-          off_t off = static_cast<off_t>(front.file_off);
-          ssize_t n = ::sendfile(c->fd_, front.file_fd, &off, want);
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-              want_write = true;
-              break;
-            }
-            fatal = true;
-            err = Error{Errc::unavailable, errno_text("sendfile to " + c->peer_)};
+        std::size_t want = front.file_left < kSendfileChunk
+                               ? static_cast<std::size_t>(front.file_left)
+                               : kSendfileChunk;
+        off_t off = static_cast<off_t>(front.file_off);
+        ssize_t n = ::sendfile(c->fd_, front.file_fd, &off, want);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            want_write = true;
             break;
           }
-          if (n == 0) {
-            fatal = true;
-            err = Error{Errc::io_error, "blob file truncated serving " + c->peer_};
-            break;
-          }
-          front.file_off += static_cast<std::uint64_t>(n);
-          front.file_left -= static_cast<std::uint64_t>(n);
-          c->out_bytes_ -= static_cast<std::size_t>(n);
-          bytes_out_.fetch_add(n, std::memory_order_relaxed);
-          sendfile_bytes_.fetch_add(n, std::memory_order_relaxed);
-          if (front.file_left > 0) continue;
-#endif
-        } else {
-          // Fallback (VINE_DISABLE_SENDFILE / runtime toggle): stage the
-          // next file chunk into the body buffer and let writev move it.
-          std::size_t want = front.file_left < kReadChunk
-                                 ? static_cast<std::size_t>(front.file_left)
-                                 : kReadChunk;
-          front.body.resize(want);
-          front.body_off = 0;
-          ssize_t n = ::pread(front.file_fd, front.body.data(), want,
-                              static_cast<off_t>(front.file_off));
-          if (n < 0 && errno == EINTR) {
-            front.body.clear();
-            continue;
-          }
-          if (n <= 0) {
-            fatal = true;
-            err = Error{Errc::io_error, "blob file read failed serving " + c->peer_};
-            break;
-          }
-          front.body.resize(static_cast<std::size_t>(n));
-          front.file_off += static_cast<std::uint64_t>(n);
-          front.file_left -= static_cast<std::uint64_t>(n);
-          continue;  // writev path below ships the staged body
+          fatal = true;
+          err = Error{Errc::unavailable, errno_text("sendfile to " + c->peer_)};
+          break;
         }
-        // sendfile finished this chunk (file_left == 0): fall through to
-        // completion handling via the advance loop's done-check by writing
-        // zero buffered bytes — simpler to just complete inline:
-        if (front.file_fd >= 0) ::close(front.file_fd);
+        if (n == 0) {
+          fatal = true;
+          err = Error{Errc::io_error, "blob file truncated serving " + c->peer_};
+          break;
+        }
+        front.file_off += static_cast<std::uint64_t>(n);
+        front.file_left -= static_cast<std::uint64_t>(n);
+        c->out_bytes_ -= static_cast<std::size_t>(n);
+        bytes_out_.fetch_add(n, std::memory_order_relaxed);
+        sendfile_bytes_.fetch_add(n, std::memory_order_relaxed);
+        if (front.file_left > 0) continue;
+        // The file's last byte is out: the frame is complete.
+        close_fd(front.file_fd);
         front.file_fd = -1;
         if (c->spare_heads_.size() < kSpareHeads &&
             front.head.capacity() <= kSpareHeadCap) {
@@ -610,15 +517,9 @@ void Reactor::flush_writes(ReactorConn* c) {
         left -= take;
         bool shipped = ch.head_off >= ch.head.size() &&
                        ch.body_off >= ch.body.size();
-        if (!shipped) break;
-        if (ch.file_fd >= 0 && ch.file_left > 0) {
-          // Fallback staging consumed: free the staged body for the next
-          // pread round.
-          ch.body.clear();
-          ch.body_off = 0;
-          break;
-        }
-        if (ch.file_fd >= 0) ::close(ch.file_fd);
+        // A file-backed frame completes in the sendfile branch above.
+        if (!shipped || ch.file_left > 0) break;
+        close_fd(ch.file_fd);
         if (c->spare_heads_.size() < kSpareHeads &&
             ch.head.capacity() <= kSpareHeadCap) {
           ch.head.clear();
@@ -713,90 +614,55 @@ ReactorConn::~ReactorConn() {
 }
 
 Status ReactorConn::send_frame(Frame frame) {
+  const std::uint64_t body = frame.data.size();
+  OutChunk ch;
+  ch.body = std::move(frame.data);  // blob bytes ship by reference: no copy
+  return enqueue_frame(frame.kind, frame.msg, std::move(ch), body);
+}
+
+Status ReactorConn::send_file(const json::Value& msg, const std::string& path,
+                              std::uint64_t size) {
+  int ffd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (ffd < 0) return Error{Errc::io_error, errno_text("open " + path)};
+  OutChunk ch;
+  ch.file_fd = ffd;
+  ch.file_left = size;
+  return enqueue_frame(Frame::Kind::blob, msg, std::move(ch), size);
+}
+
+Status ReactorConn::enqueue_frame(Frame::Kind kind, const json::Value& msg,
+                                  OutChunk ch, std::uint64_t body_len) {
   {
     UniqueLock lock(mu_);
-    if (dead_) {
-      return Error{Errc::unavailable, "send to " + peer_ + ": " + death_.message};
-    }
     // Backpressure: wait for queued bytes to drop under the cap. The
     // reactor thread itself never waits (it is the one draining).
     while (out_bytes_ > kSendBufCap && !dead_ && !reactor_->on_this_thread()) {
       cv_.wait(lock);
     }
     if (dead_) {
+      close_fd(ch.file_fd);
       return Error{Errc::unavailable, "send to " + peer_ + ": " + death_.message};
     }
-    OutChunk ch;
     if (!spare_heads_.empty()) {
       ch.head = std::move(spare_heads_.back());
       spare_heads_.pop_back();
     }
-    if (frame.kind == Frame::Kind::json) {
-      // Serialize straight into the recycled head buffer after a 5-byte
-      // placeholder, then patch the header in place — no wire copy, no
-      // per-frame allocation once the scratch has grown.
-      ch.head.assign(5, '\0');
-      frame.msg.dump_append(ch.head);
-      std::uint32_t plen = static_cast<std::uint32_t>(ch.head.size() - 5);
-      ch.head[0] = static_cast<char>(plen);
-      ch.head[1] = static_cast<char>(plen >> 8);
-      ch.head[2] = static_cast<char>(plen >> 16);
-      ch.head[3] = static_cast<char>(plen >> 24);
-      ch.head[4] = static_cast<char>(Frame::Kind::json);
-    } else {
-      std::uint64_t plen64 = 4ull + frame.tag.size() + frame.data.size();
-      if (plen64 > kMaxFramePayload) {
-        return Error{Errc::invalid_argument, "blob frame exceeds 512 MB"};
-      }
-      ch.head.clear();
-      append_frame_header(ch.head, static_cast<std::uint32_t>(plen64),
-                          Frame::Kind::blob);
-      append_u32(ch.head, static_cast<std::uint32_t>(frame.tag.size()));
-      ch.head += frame.tag;
-      ch.body = std::move(frame.data);  // payload ships by reference: no copy
+    // Serialize the message straight into the recycled head buffer after
+    // placeholder lengths, then patch them in place.
+    const std::size_t prefix = kind == Frame::Kind::blob ? 9 : 5;
+    ch.head.assign(prefix, '\0');
+    msg.dump_append(ch.head);
+    const std::uint64_t payload = ch.head.size() - 5 + body_len;
+    if (payload > kMaxFramePayload) {
+      close_fd(ch.file_fd);
+      return Error{Errc::invalid_argument, "frame exceeds 512 MB"};
     }
-    out_bytes_ += ch.head.size() + ch.body.size();
-    out_.push_back(std::move(ch));
-  }
-  request_flush();
-  return Status::success();
-}
-
-Status ReactorConn::send_file(const std::string& tag, const std::string& path,
-                              std::uint64_t size) {
-  std::uint64_t plen64 = 4ull + tag.size() + size;
-  if (plen64 > kMaxFramePayload) {
-    return Error{Errc::invalid_argument, "blob frame exceeds 512 MB"};
-  }
-  int ffd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (ffd < 0) return Error{Errc::io_error, errno_text("open " + path)};
-  {
-    UniqueLock lock(mu_);
-    if (dead_) {
-      close_fd(ffd);
-      return Error{Errc::unavailable, "send to " + peer_ + ": " + death_.message};
+    write_u32(ch.head.data(), static_cast<std::uint32_t>(payload));
+    ch.head[4] = static_cast<char>(kind);
+    if (kind == Frame::Kind::blob) {
+      write_u32(ch.head.data() + 5, static_cast<std::uint32_t>(ch.head.size() - 9));
     }
-    while (out_bytes_ > kSendBufCap && !dead_ && !reactor_->on_this_thread()) {
-      cv_.wait(lock);
-    }
-    if (dead_) {
-      close_fd(ffd);
-      return Error{Errc::unavailable, "send to " + peer_ + ": " + death_.message};
-    }
-    OutChunk ch;
-    if (!spare_heads_.empty()) {
-      ch.head = std::move(spare_heads_.back());
-      spare_heads_.pop_back();
-      ch.head.clear();
-    }
-    append_frame_header(ch.head, static_cast<std::uint32_t>(plen64),
-                        Frame::Kind::blob);
-    append_u32(ch.head, static_cast<std::uint32_t>(tag.size()));
-    ch.head += tag;
-    ch.file_fd = ffd;
-    ch.file_off = 0;
-    ch.file_left = size;
-    out_bytes_ += ch.head.size() + static_cast<std::size_t>(size);
+    out_bytes_ += ch.head.size() + static_cast<std::size_t>(body_len);
     out_.push_back(std::move(ch));
   }
   request_flush();
@@ -924,77 +790,6 @@ void ReactorListener::close() {
   reactor_->enqueue(Reactor::Op{Reactor::Op::Kind::del_listener, nullptr, this});
   UniqueLock lock(mu_);
   while (!released_) cv_.wait(lock);
-}
-
-// ---------------------------------------------------------------------------
-// ReactorPool
-
-ReactorPool& ReactorPool::instance() {
-  static ReactorPool pool;
-  return pool;
-}
-
-ReactorPool::ReactorPool() {
-  int shards = 1;
-  if (const char* env = std::getenv("VINE_REACTOR_SHARDS")) {
-    shards = std::atoi(env);
-    if (shards < 1) shards = 1;
-    if (shards > 16) shards = 16;
-  }
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_shared<Reactor>());
-  }
-}
-
-std::shared_ptr<Reactor> ReactorPool::next_shard() {
-  std::uint32_t i = rr_.fetch_add(1, std::memory_order_relaxed);
-  return shards_[i % shards_.size()];
-}
-
-ConnPtr ReactorPool::adopt(int fd, std::string peer) {
-  auto shard = next_shard();
-  auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
-      shard, fd, std::move(peer), /*connecting=*/false));
-  shard->enqueue(Reactor::Op{Reactor::Op::Kind::add_conn, c, nullptr});
-  return c;
-}
-
-ConnPtr ReactorPool::adopt_connecting(int fd, std::string peer,
-                                      std::chrono::milliseconds timeout) {
-  auto shard = next_shard();
-  auto c = std::shared_ptr<ReactorConn>(new ReactorConn(
-      shard, fd, std::move(peer), /*connecting=*/true));
-  c->connect_timeout_ = timeout;
-  shard->enqueue(Reactor::Op{Reactor::Op::Kind::add_conn, c, nullptr});
-  return c;
-}
-
-std::shared_ptr<ReactorListener> ReactorPool::listen(
-    int fd, std::string address, ReactorListener::AcceptFn on_accept) {
-  auto shard = next_shard();
-  std::shared_ptr<ReactorListener> l(new ReactorListener(
-      shard, fd, std::move(address), std::move(on_accept)));
-  shard->enqueue(
-      Reactor::Op{Reactor::Op::Kind::add_listener, nullptr, l.get()});
-  return l;
-}
-
-ReactorStats ReactorPool::stats() const {
-  ReactorStats total;
-  for (const auto& shard : shards_) {
-    ReactorStats s = shard->snapshot();
-    total.wakeups += s.wakeups;
-    total.frames_in += s.frames_in;
-    total.frames_out += s.frames_out;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-    total.sendfile_bytes += s.sendfile_bytes;
-    total.writev_calls += s.writev_calls;
-    total.accepts += s.accepts;
-    total.conns_open += s.conns_open;
-  }
-  return total;
 }
 
 }  // namespace vine

@@ -1,6 +1,6 @@
-// The epoll reactor: one thread (optionally N sharded) owning every TCP
-// socket in the process — manager worker-port connections, worker control
-// links, and worker↔worker peer-transfer streams.
+// The epoll reactor: one thread owning every TCP socket in the process —
+// manager worker-port connections, worker control links, and worker↔worker
+// peer-transfer streams.
 //
 // Architecture (see DESIGN.md "Data plane"):
 //
@@ -11,14 +11,14 @@
 //     them to the installed receiver callback (frames that beat
 //     set_receiver wait in a small backlog and are drained first).
 //
-//   * Write side. send_frame() never touches the socket: it encodes the
-//     5-byte header (+ blob tag prefix) into a recycled per-connection
-//     scratch buffer, enqueues header/payload as separate spans, and kicks
-//     the reactor via eventfd. The reactor coalesces queued spans across
-//     frames into one writev — the old per-frame contiguous `wire` copy and
-//     its per-frame allocation are gone. File-backed spans are streamed
-//     with sendfile (pread+writev fallback behind VINE_DISABLE_SENDFILE),
-//     so a cached blob served to a peer never passes through userspace.
+//   * Write side. send_frame() never touches the socket: it serializes the
+//     5-byte header and the JSON message (plus, for a blob frame, the
+//     message length) into a recycled per-connection head buffer, enqueues
+//     the head and the blob bytes as separate spans, and kicks the reactor
+//     via eventfd. The reactor coalesces queued spans across frames into
+//     one writev — no per-frame contiguous wire copy, no per-frame
+//     allocation. File-backed blobs are streamed with sendfile, so a
+//     cached object served to a peer never passes through userspace.
 //
 //   * Liveness. A connection with a partially received frame carries a
 //     progress deadline (set_io_timeout window): a peer that stalls
@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -53,9 +54,8 @@ class ReactorConn;
 class ReactorListener;
 using ConnPtr = std::shared_ptr<ReactorConn>;
 
-/// Aggregate data-plane counters, summed across shards by
-/// ReactorPool::stats(). Monotone; sampled by the manager's metrics gauges
-/// and by bench/micro_net.
+/// Data-plane counters, read by Reactor::stats(). Monotone; sampled by the
+/// manager's metrics gauges.
 struct ReactorStats {
   std::int64_t wakeups = 0;        ///< epoll_wait returns
   std::int64_t frames_in = 0;      ///< complete frames decoded
@@ -68,15 +68,9 @@ struct ReactorStats {
   std::int64_t conns_open = 0;     ///< currently registered connections
 };
 
-/// Whether blob-file sends use sendfile. Compiled to false under
-/// VINE_DISABLE_SENDFILE; togglable at runtime so tests exercise the
-/// pread+writev fallback on any build. The wire bytes are identical.
-bool sendfile_enabled();
-void set_sendfile_enabled(bool on);
-
 /// One TCP connection owned by a Reactor. App threads send and install the
 /// receiver; the reactor thread runs the read state machine and all socket
-/// I/O. Obtain via ReactorPool (adopt/connect/listener), never directly.
+/// I/O. Obtain via Reactor (adopt/adopt_connecting), never directly.
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
   ~ReactorConn();
@@ -87,8 +81,9 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// backpressure cap), not once written. Errc::unavailable after death.
   Status send_frame(Frame frame);
 
-  /// Enqueue a blob frame streaming `size` bytes from `path` via sendfile.
-  Status send_file(const std::string& tag, const std::string& path,
+  /// Enqueue a blob frame carrying `msg` and streaming `size` bytes from
+  /// `path` via sendfile.
+  Status send_file(const json::Value& msg, const std::string& path,
                    std::uint64_t size);
 
   /// Install the delivery callback (see Endpoint::set_receiver).
@@ -115,7 +110,6 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  private:
   friend class Reactor;
   friend class ReactorListener;
-  friend class ReactorPool;
   ReactorConn(std::shared_ptr<Reactor> reactor, int fd, std::string peer,
               bool connecting);
 
@@ -156,9 +150,9 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// the reactor picks it up; collapses N sends into one list entry.
   std::atomic<bool> flush_queued_{false};
 
-  /// One span of outbound bytes: an owned head buffer (header + json text,
-  /// or header + tag prefix), an owned body (blob bytes), and/or a file
-  /// range streamed by sendfile. Offsets track partial writes.
+  /// One outbound frame: an owned head buffer (header + JSON message), an
+  /// owned body (blob bytes) or a file range streamed by sendfile. Offsets
+  /// track partial writes.
   struct OutChunk {
     std::string head;
     std::size_t head_off = 0;
@@ -168,6 +162,12 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
     std::uint64_t file_off = 0;
     std::uint64_t file_left = 0;
   };
+
+  /// Serialize `msg` into `ch`'s head (a recycled buffer) and queue the
+  /// frame, whose body or file adds `body_len` bytes; closes `ch`'s file
+  /// when the frame cannot be queued.
+  Status enqueue_frame(Frame::Kind kind, const json::Value& msg, OutChunk ch,
+                       std::uint64_t body_len);
 
   // Guards the cross-thread half of the connection: the write queue,
   // receiver backlog, receiver callback, and lifecycle flags below.
@@ -190,9 +190,9 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   bool released_ VINE_GUARDED_BY(mu_) = false; ///< reactor dropped its ref
 };
 
-/// A non-blocking listening socket owned by a Reactor. Accepted connections
-/// are registered (round-robin across shards) and handed to the accept
-/// callback on this listener's reactor thread.
+/// A non-blocking listening socket owned by the Reactor. Accepted
+/// connections are registered and handed to the accept callback on the
+/// reactor thread.
 class ReactorListener {
  public:
   using AcceptFn = std::function<void(ConnPtr)>;
@@ -209,7 +209,6 @@ class ReactorListener {
 
  private:
   friend class Reactor;
-  friend class ReactorPool;
   ReactorListener(std::shared_ptr<Reactor> reactor, int fd,
                   std::string address, AcceptFn on_accept);
 
@@ -226,12 +225,18 @@ class ReactorListener {
   bool released_ VINE_GUARDED_BY(mu_) = false;
 };
 
-/// The process-wide shard set. Shard count comes from VINE_REACTOR_SHARDS
-/// (default 1, clamped to [1,16]) read once at first use; connections are
-/// placed round-robin.
-class ReactorPool {
+/// The process-wide reactor, started at first use: one epoll loop thread
+/// plus the op queue app threads use to reach it. All reads, writes,
+/// accepts, registration, and teardown of its sockets happen on the loop
+/// thread; everything reactor-thread-confined in ReactorConn belongs to it.
+/// Connections and listeners hold it alive, so it outlives every socket.
+class Reactor {
  public:
-  static ReactorPool& instance();
+  static Reactor& instance();
+
+  ~Reactor();
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
 
   /// Adopt an already-connected non-blocking socket (accept or immediate
   /// connect success).
@@ -250,12 +255,66 @@ class ReactorPool {
   ReactorStats stats() const;
 
  private:
-  friend class Reactor;
-  ReactorPool();
-  std::shared_ptr<Reactor> next_shard();
+  friend class ReactorConn;
+  friend class ReactorListener;
 
-  std::vector<std::shared_ptr<Reactor>> shards_;
-  std::atomic<std::uint32_t> rr_{0};
+  using Clock = std::chrono::steady_clock;
+
+  struct Op {
+    enum class Kind { add_conn, del_conn, flush, add_listener, del_listener, stop };
+    Kind kind;
+    ConnPtr conn;
+    ReactorListener* listener = nullptr;
+  };
+
+  Reactor();
+  /// The instance, shared with every connection and listener it owns.
+  static const std::shared_ptr<Reactor>& shared();
+
+  /// Queue an op for the loop thread and wake it. Safe from any thread.
+  void enqueue(Op op);
+  bool on_this_thread() const { return t_current == this; }
+
+  static thread_local Reactor* t_current;
+
+  void run();
+  void drain_ops(bool* stopping);
+  void do_add_conn(ConnPtr c);
+  void remove_now(const ConnPtr& c);
+  void do_add_listener(ReactorListener* l);
+  void remove_listener_now(ReactorListener* l);
+  void do_accept(ReactorListener* l);
+  void do_read(ReactorConn* c);
+  void finish_connect(ReactorConn* c);
+  void flush_writes(ReactorConn* c);
+  void teardown(ReactorConn* c, Error err);
+  void update_events(ReactorConn* c);
+  void set_deadline(ReactorConn* c, Clock::time_point tp);
+  void scan_deadlines();
+
+  int epfd_ = -1;
+  int wakefd_ = -1;
+  std::thread thread_;
+
+  // Guards ops_, the cross-thread mailbox into the loop: app threads push
+  // registration/flush/teardown ops under it, the loop thread swaps the
+  // vector out. Never held across a syscall or another lock.
+  Mutex ops_mu_{lock_rank::Rank::net_reactor};
+  std::vector<Op> ops_ VINE_GUARDED_BY(ops_mu_);
+  std::atomic<bool> kicked_{false};
+
+  // Loop-thread-confined socket registries (epoll events carry fds, so a
+  // teardown earlier in a batch simply makes later lookups miss).
+  std::unordered_map<int, ConnPtr> conns_;
+  std::unordered_map<int, ReactorListener*> listeners_;
+  int armed_deadlines_ = 0;  ///< conns with an active deadline_
+  std::string read_scratch_;  ///< recv landing block, reused across conns
+  std::vector<Frame> decode_batch_;  ///< per-drain frame batch, reused
+
+  // Data-plane counters; written on the loop thread, sampled from anywhere.
+  std::atomic<std::int64_t> wakeups_{0}, frames_in_{0}, frames_out_{0},
+      bytes_in_{0}, bytes_out_{0}, sendfile_bytes_{0}, writev_calls_{0},
+      accepts_{0}, conns_open_{0};
 };
 
 }  // namespace vine

@@ -2,7 +2,7 @@
 // (net/reactor.*): this file only creates/binds/connects sockets and maps
 // the Endpoint/Listener interface onto ReactorConn/ReactorListener. All
 // socket I/O — reads, vectored writes, sendfile, accepts, timeouts — runs
-// on the reactor threads; nothing here ever blocks in a socket syscall.
+// on the reactor thread; nothing here ever blocks in a socket syscall.
 #include "net/tcp.hpp"
 
 #include <arpa/inet.h>
@@ -44,9 +44,9 @@ class TcpEndpoint final : public Endpoint {
     conn_->set_receiver(std::move(fn));
   }
 
-  Status send_blob_file(const std::string& tag, const std::string& path,
+  Status send_blob_file(const json::Value& msg, const std::string& path,
                         std::uint64_t size) override {
-    return conn_->send_file(tag, path, size);
+    return conn_->send_file(msg, path, size);
   }
 
   void set_io_timeout(std::chrono::milliseconds t) override {
@@ -103,7 +103,7 @@ Result<std::unique_ptr<Listener>> tcp_listen(std::uint16_t port,
     return Error{Errc::io_error, errno_text("getsockname")};
   }
   std::string address = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
-  auto lst = ReactorPool::instance().listen(
+  auto lst = Reactor::instance().listen(
       fd, address, [fn = std::move(on_accept)](ConnPtr c) {
         fn(std::make_unique<TcpEndpoint>(std::move(c)));
       });
@@ -138,8 +138,8 @@ Result<std::unique_ptr<Endpoint>> tcp_connect(const std::string& address,
     return Error{Errc::unavailable, errno_text("connect " + address)};
   }
   ConnPtr conn =
-      rc == 0 ? ReactorPool::instance().adopt(fd, address)
-              : ReactorPool::instance().adopt_connecting(fd, address, timeout);
+      rc == 0 ? Reactor::instance().adopt(fd, address)
+              : Reactor::instance().adopt_connecting(fd, address, timeout);
   Status st = conn->await_connected(timeout);
   if (!st.ok()) {
     conn->close();

@@ -50,8 +50,8 @@ class MetricsRegistry {
   void unexpose(const std::string& name);
 
   /// Register a computed gauge: `fn` is invoked at snapshot time. For
-  /// sources without a stable int64 address (reactor stats summed across
-  /// shards). Must be callable until unexposed and must not acquire locks
+  /// sources without a stable int64 address (the reactor's atomic
+  /// counters). Must be callable until unexposed and must not acquire locks
   /// ranked at or below `metrics`.
   void expose_fn(const std::string& name, std::function<std::int64_t()> fn);
 

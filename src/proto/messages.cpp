@@ -280,15 +280,6 @@ struct Encoder {
     o["functions"] = Value(std::move(fns));
     return Value(std::move(o));
   }
-  Value operator()(const FileDataMsg& m) const {
-    Object o;
-    o["type"] = "file_data";
-    o["request_id"] = m.request_id;
-    o["cache_name"] = m.cache_name;
-    o["ok"] = m.ok;
-    o["error"] = m.error;
-    return Value(std::move(o));
-  }
   Value operator()(const GetMsg& m) const {
     Object o;
     o["type"] = "get";
@@ -298,6 +289,7 @@ struct Encoder {
   Value operator()(const ObjMsg& m) const {
     Object o;
     o["type"] = "obj";
+    o["request_id"] = m.request_id;
     o["cache_name"] = m.cache_name;
     o["ok"] = m.ok;
     o["is_dir"] = m.is_dir;
@@ -426,14 +418,6 @@ Result<AnyMessage> decode(const json::Value& v) {
     }
     return AnyMessage(std::move(m));
   }
-  if (type == "file_data") {
-    FileDataMsg m;
-    m.request_id = v.get_string("request_id");
-    m.cache_name = v.get_string("cache_name");
-    m.ok = v.get_bool("ok");
-    m.error = v.get_string("error");
-    return AnyMessage(std::move(m));
-  }
   if (type == "get") {
     GetMsg m;
     m.cache_name = v.get_string("cache_name");
@@ -441,6 +425,7 @@ Result<AnyMessage> decode(const json::Value& v) {
   }
   if (type == "obj") {
     ObjMsg m;
+    m.request_id = v.get_string("request_id");
     m.cache_name = v.get_string("cache_name");
     m.ok = v.get_bool("ok");
     m.is_dir = v.get_bool("is_dir");

@@ -1,12 +1,13 @@
 // Manager-worker protocol messages (paper §2.2, §3.3, §3.4).
 //
-// All control messages are JSON frames with a "type" field; file payloads
-// ride in blob frames tagged with the cache name. This header provides
-// typed encode/decode so the manager, worker, and tests never hand-build
-// message objects.
+// Every message is a JSON object with a "type" field. A message that
+// carries a cache object (put, and obj when ok) travels in a blob frame
+// together with the object's bytes, so a receiver never pairs a header with
+// a later frame. This header provides typed encode/decode so the manager,
+// worker, and tests never hand-build message objects.
 //
 // Control channel, manager -> worker:
-//   put          manager pushes a cache object (blob frame follows)
+//   put          manager pushes a cache object (blob frame with its bytes)
 //   fetch        worker downloads from a URL or a peer worker
 //   mini_task    worker materializes a file by running a task spec
 //   run_task     execute a task (all inputs already cached)
@@ -21,11 +22,11 @@
 //   cache_update   object became present (or failed); echoes transfer_id
 //   task_done      task completed (any kind)
 //   library_ready  a Library Instance finished init and accepts calls
-//   file_data      response to send_file (blob frame follows)
+//   obj            response to send_file (echoes its request_id)
 //
-// Peer transfer channel (worker <-> worker, also used by manager fetches):
+// Peer transfer channel (worker <-> worker):
 //   get            request an object by cache name
-//   obj            response header (blob frame follows when ok)
+//   obj            the object (blob frame with its bytes when ok)
 #pragma once
 
 #include <optional>
@@ -82,7 +83,7 @@ WireTask to_wire(const TaskSpec& spec);
 
 // ------------------------------------------------- manager -> worker
 
-struct PutMsg {  // followed by a blob frame tagged cache_name
+struct PutMsg {  // sent in a blob frame with the object's bytes
   std::string transfer_id;
   std::string cache_name;
   CacheLevel level = CacheLevel::workflow;
@@ -188,26 +189,23 @@ struct LibraryReadyMsg {
   std::vector<std::string> functions;
 };
 
-struct FileDataMsg {  // followed by a blob frame when ok
-  std::string request_id;
-  std::string cache_name;
-  bool ok = false;
-  std::string error;
-};
-
 // ------------------------------------------------- peer transfers
 
 struct GetMsg {
   std::string cache_name;
 };
 
-struct ObjMsg {  // followed by a blob frame when ok
+/// A served cache object, or why it could not be served. When ok it is sent
+/// in a blob frame with the object's bytes; a miss is a plain JSON frame.
+struct ObjMsg {
+  /// The send_file request this answers; empty on peer serves.
+  std::string request_id;
   std::string cache_name;
   bool ok = false;
   bool is_dir = false;  ///< blob is a vpak archive of the directory
   std::string error;
 
-  /// Content digest (hex md5) of the blob that follows, computed by the
+  /// Content digest (hex md5) of the frame's bytes, computed by the
   /// serving worker. Receivers verify the payload against it before caching,
   /// turning in-flight corruption into a retryable transfer failure instead
   /// of a silently poisoned cache. Empty = sender did not attest.
@@ -221,7 +219,7 @@ using AnyMessage =
     std::variant<PutMsg, FetchMsg, MiniTaskMsg, RunTaskMsg, UnlinkMsg,
                  CancelTransferMsg, SendFileMsg, EndWorkflowMsg, ShutdownMsg,
                  HelloMsg, HeartbeatMsg, CacheUpdateMsg, TaskDoneMsg,
-                 LibraryReadyMsg, FileDataMsg, GetMsg, ObjMsg>;
+                 LibraryReadyMsg, GetMsg, ObjMsg>;
 
 /// Encode any message to its JSON frame body.
 json::Value encode(const AnyMessage& msg);

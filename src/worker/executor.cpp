@@ -42,6 +42,15 @@ struct SpawnActions {
   SpawnActions& operator=(const SpawnActions&) = delete;
 };
 
+/// Owns a posix_spawn attribute set.
+struct SpawnAttr {
+  posix_spawnattr_t attr;
+  SpawnAttr() { ::posix_spawnattr_init(&attr); }
+  ~SpawnAttr() { ::posix_spawnattr_destroy(&attr); }
+  SpawnAttr(const SpawnAttr&) = delete;
+  SpawnAttr& operator=(const SpawnAttr&) = delete;
+};
+
 }  // namespace
 
 Executor::Executor(ExecutorConfig config, CacheStore& cache)
@@ -124,15 +133,16 @@ void Executor::watchdog_main() {
         w.exceeded = Limit::memory;
       }
     }
-    // Kill under the lock: a command still in watched_ has not been reaped,
-    // so its pid cannot have been recycled.
+    // Kill the command's whole process group, under the lock: a shell
+    // still in watched_ has not been reaped, so its pid — which is also
+    // the group's id — cannot have been recycled.
     MutexLock lock(watch_mutex_);
     for (const auto& [id, probe] : probes) {
       if (probe.exceeded == Limit::none) continue;
       auto it = watched_.find(id);
       if (it == watched_.end() || it->second.exceeded != Limit::none) continue;
       it->second.exceeded = probe.exceeded;
-      ::kill(it->second.pid, SIGKILL);
+      ::kill(-it->second.pid, SIGKILL);
     }
   }
 }
@@ -239,9 +249,16 @@ ExecOutcome Executor::run_command(const proto::WireTask& task, const fs::path& s
 
   // posix_spawn, not fork(): the worker is multithreaded, and fork() would
   // copy its whole page table for a child that only execs /bin/sh. The
-  // child enters the sandbox and writes stdout to the capture file.
+  // child leads a new process group, so a limit kill reaches everything
+  // the command starts; it enters the sandbox and writes stdout to the
+  // capture file.
+  SpawnAttr attr;
   SpawnActions actions;
-  int rc = ::posix_spawn_file_actions_addchdir_np(&actions.fa, sandbox.c_str());
+  int rc = ::posix_spawnattr_setflags(&attr.attr, POSIX_SPAWN_SETPGROUP);
+  if (rc == 0) rc = ::posix_spawnattr_setpgroup(&attr.attr, 0);
+  if (rc == 0) {
+    rc = ::posix_spawn_file_actions_addchdir_np(&actions.fa, sandbox.c_str());
+  }
   if (rc == 0) {
     rc = ::posix_spawn_file_actions_addopen(&actions.fa, STDOUT_FILENO,
                                             stdout_path.c_str(),
@@ -249,7 +266,7 @@ ExecOutcome Executor::run_command(const proto::WireTask& task, const fs::path& s
   }
   pid_t pid = -1;
   if (rc == 0) {
-    rc = ::posix_spawn(&pid, "/bin/sh", &actions.fa, nullptr,
+    rc = ::posix_spawn(&pid, "/bin/sh", &actions.fa, &attr.attr,
                        const_cast<char* const*>(argv), envp.data());
   }
   if (rc != 0) {

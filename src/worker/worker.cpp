@@ -149,21 +149,7 @@ void Worker::stop() {
   // down, so no start can install an instance behind the teardown.
   exec_pool_.close();
 
-  // Extract the hosts under the lock; stop and join the instances outside
-  // it. instance->stop() and pump.join() wait for running calls, and a
-  // blocking call under libraries_mutex_ would stall function-call dispatch
-  // (and is banned by the vine_analyze lock/blocking pass).
-  std::map<std::string, LibraryHost> hosts;
-  {
-    MutexLock lock(libraries_mutex_);
-    hosts.swap(libraries_);
-  }
-  for (auto& [_, host] : hosts) {
-    host.instance->stop();
-    if (host.pump.joinable()) host.pump.join();
-    remove_all_quiet(host.sandbox);
-  }
-  hosts.clear();
+  stop_libraries();
   // All internal threads are quiescent; the cache must match the disk.
   maybe_audit("worker.stop");
 }
@@ -214,11 +200,6 @@ void Worker::report_evictions() {
 // ------------------------------------------------------------ dispatch
 
 void Worker::handle_frame(Frame frame) {
-  if (frame.kind != Frame::Kind::json) {
-    VINE_LOG_WARN("worker", "%s: unexpected blob frame (tag %s)",
-                  config_.id.c_str(), frame.tag.c_str());
-    return;
-  }
   auto msg = proto::decode(frame.msg);
   if (!msg.ok()) {
     VINE_LOG_WARN("worker", "%s: bad message: %s", config_.id.c_str(),
@@ -226,9 +207,9 @@ void Worker::handle_frame(Frame frame) {
     return;
   }
   std::visit(
-      [this](auto&& m) {
+      [this, &frame](auto&& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, proto::PutMsg>) handle_put(m);
+        if constexpr (std::is_same_v<T, proto::PutMsg>) handle_put(m, frame);
         else if constexpr (std::is_same_v<T, proto::FetchMsg>) handle_fetch(m);
         else if constexpr (std::is_same_v<T, proto::MiniTaskMsg>) handle_mini_task(m);
         else if constexpr (std::is_same_v<T, proto::RunTaskMsg>) handle_run_task(m);
@@ -245,18 +226,14 @@ void Worker::handle_frame(Frame frame) {
       *msg);
 }
 
-void Worker::handle_put(const proto::PutMsg& msg) {
-  // The object's bytes follow as a blob frame on the same connection.
-  auto blob = control_.pop(
-      std::chrono::milliseconds(std::max(1, config_.transfer_io_timeout_ms)));
-  if (!blob || !blob->ok() || (*blob)->kind != Frame::Kind::blob) {
+void Worker::handle_put(const proto::PutMsg& msg, const Frame& frame) {
+  if (frame.kind != Frame::Kind::blob) {
     send_cache_update(msg.cache_name, msg.transfer_id, false, -1,
-                      "put not followed by blob frame");
+                      "put without the object's bytes");
     return;
   }
-  const std::string& data = (*blob)->data;
-  Status st = msg.is_dir ? cache_->put_archive(msg.cache_name, data, msg.level)
-                         : cache_->put_bytes(msg.cache_name, data, msg.level);
+  Status st = msg.is_dir ? cache_->put_archive(msg.cache_name, frame.data, msg.level)
+                         : cache_->put_bytes(msg.cache_name, frame.data, msg.level);
   if (!st.ok()) {
     send_cache_update(msg.cache_name, msg.transfer_id, false, -1,
                       st.error().to_string());
@@ -342,47 +319,44 @@ void Worker::do_fetch(const proto::FetchMsg& msg) {
 }
 
 Status Worker::fetch_from_peer(const proto::FetchMsg& msg) {
+  // Declared before the endpoint: the endpoint closes before the queue
+  // goes, and no receiver callback runs after close() returns.
+  MsgQueue<Result<Frame>> replies;
   auto peer = connect_to(msg.source_addr, 5000ms);
   if (!peer.ok()) return Status(peer.error());
   const auto io =
       std::chrono::milliseconds(std::max(1, config_.transfer_io_timeout_ms));
   (*peer)->set_io_timeout(io);
-  Status stored = Status::success();
+  (*peer)->set_receiver(
+      [&replies](Result<Frame> frame) { replies.push(std::move(frame)); });
   (*peer)->send_json(proto::encode(proto::GetMsg{msg.cache_name}));
-  auto header = (*peer)->recv(io);
-  if (!header.ok() || header->kind != Frame::Kind::json) {
-    stored = header.ok() || header.error().code != Errc::timeout
-                 ? Status(Error{Errc::protocol_error, "bad peer response header"})
-                 : Status(header.error());
-  } else {
-    auto decoded = proto::decode(header->msg);
-    if (!decoded.ok() || !std::holds_alternative<proto::ObjMsg>(*decoded)) {
-      stored = Error{Errc::protocol_error, "peer sent non-obj response"};
-    } else {
-      auto& obj = std::get<proto::ObjMsg>(*decoded);
-      if (!obj.ok) {
-        stored = Error{Errc::not_found, "peer miss: " + obj.error};
-      } else {
-        auto blob = (*peer)->recv(io);
-        if (!blob.ok() || blob->kind != Frame::Kind::blob) {
-          stored = !blob.ok() && blob.error().code == Errc::timeout
-                       ? Status(blob.error())
-                       : Status(Error{Errc::protocol_error, "peer blob missing"});
-        } else if (!obj.digest.empty() && md5_buffer(blob->data) != obj.digest) {
-          // The sender attested the content; a mismatch means the bytes
-          // were damaged in flight. Fail the transfer instead of caching
-          // poisoned data.
-          stored = Error{Errc::io_error, "peer blob digest mismatch"};
-        } else if (obj.is_dir) {
-          stored = cache_->put_archive(msg.cache_name, blob->data, msg.level);
-        } else {
-          stored = cache_->put_bytes(msg.cache_name, blob->data, msg.level);
-        }
-      }
-    }
-  }
+  auto reply = replies.pop(io);
   (*peer)->close();
-  return stored;
+
+  if (!reply) return Error{Errc::timeout, "no reply from peer " + msg.source_addr};
+  if (!reply->ok()) {
+    return reply->error().code == Errc::timeout
+               ? Status(reply->error())
+               : Status(Error{Errc::protocol_error, "bad peer response"});
+  }
+  const Frame& frame = **reply;
+  auto decoded = proto::decode(frame.msg);
+  if (!decoded.ok() || !std::holds_alternative<proto::ObjMsg>(*decoded)) {
+    return Error{Errc::protocol_error, "peer sent non-obj response"};
+  }
+  const auto& obj = std::get<proto::ObjMsg>(*decoded);
+  if (!obj.ok) return Error{Errc::not_found, "peer miss: " + obj.error};
+  if (frame.kind != Frame::Kind::blob) {
+    return Error{Errc::protocol_error, "peer blob missing"};
+  }
+  if (!obj.digest.empty() && md5_buffer(frame.data) != obj.digest) {
+    // The sender attested the content; a mismatch means the bytes were
+    // damaged in flight. Fail the transfer instead of caching poisoned
+    // data.
+    return Error{Errc::io_error, "peer blob digest mismatch"};
+  }
+  return obj.is_dir ? cache_->put_archive(msg.cache_name, frame.data, msg.level)
+                    : cache_->put_bytes(msg.cache_name, frame.data, msg.level);
 }
 
 void Worker::do_mini_task(const proto::MiniTaskMsg& msg) {
@@ -482,8 +456,7 @@ void Worker::start_library(const proto::WireTask& task) {
     done.error = init ? init->get_string("error", "library init failed")
                       : "library init timed out";
     send_to_manager(done);
-    instance->stop();
-    remove_all_quiet(*sandbox);
+    retire_library(LibraryHost{std::move(instance), *sandbox, {}});
     return;
   }
 
@@ -526,12 +499,27 @@ void Worker::start_library(const proto::WireTask& task) {
     }
     libraries_.emplace(task.library_name, std::move(host));
   }
-  if (old_host) {
-    old_host->instance->stop();
-    if (old_host->pump.joinable()) old_host->pump.join();
-    remove_all_quiet(old_host->sandbox);
-  }
+  if (old_host) retire_library(std::move(*old_host));
   send_to_manager(ready);
+}
+
+void Worker::retire_library(LibraryHost host) {
+  host.instance->stop();
+  if (host.pump.joinable()) host.pump.join();
+  remove_all_quiet(host.sandbox);
+}
+
+void Worker::stop_libraries() {
+  // Extract the hosts under the lock; stop and join the instances outside
+  // it. instance->stop() and pump.join() wait for running calls, and a
+  // blocking call under libraries_mutex_ would stall function-call dispatch
+  // (and is banned by the vine_analyze lock/blocking pass).
+  std::map<std::string, LibraryHost> hosts;
+  {
+    MutexLock lock(libraries_mutex_);
+    hosts.swap(libraries_);
+  }
+  for (auto& [_, host] : hosts) retire_library(std::move(host));
 }
 
 void Worker::invoke_function_call(const proto::WireTask& task) {
@@ -569,60 +557,42 @@ void Worker::handle_cancel_transfer(const proto::CancelTransferMsg& msg) {
 }
 
 void Worker::handle_send_file(const proto::SendFileMsg& msg) {
-  proto::FileDataMsg reply;
+  proto::ObjMsg reply;
   reply.request_id = msg.request_id;
   reply.cache_name = msg.cache_name;
-  auto info = cache_->serve_info(msg.cache_name);
-  if (!info.ok()) {
-    reply.ok = false;
-    reply.error = info.error().to_string();
-    send_to_manager(reply);
-    return;
-  }
-  if (!info->is_dir) {
-    // Zero-copy: stream the file off disk instead of staging it.
+  send_object(*manager_, std::move(reply));
+}
+
+void Worker::send_object(Endpoint& to, proto::ObjMsg reply) {
+  Status sent = [&]() -> Status {
+    VINE_TRY(auto info, cache_->serve_info(reply.cache_name));
     reply.ok = true;
-    // Header then blob. Sends are frame-atomic but another thread could
-    // interleave a frame between these two; the manager tolerates that by
-    // matching the blob by tag.
-    send_to_manager(reply);
-    auto st = manager_->send_blob_file(
-        msg.cache_name, info->path.string(),
-        static_cast<std::uint64_t>(info->size));
-    if (!st.ok() && !stopping_.load()) {
-      VINE_LOG_WARN("worker", "%s: send_file blob of %s failed: %s",
-                    config_.id.c_str(), msg.cache_name.c_str(),
-                    st.error().message.c_str());
+    if (!info.is_dir) {
+      // Zero-copy: attest the memoized digest and let the transport stream
+      // the file straight off disk.
+      reply.digest = info.digest;
+      return to.send_blob_file(proto::encode(reply), info.path.string(),
+                               static_cast<std::uint64_t>(info.size));
     }
-    return;
-  }
-  // Directories are archived on the fly and must go through memory.
-  auto data = cache_->read_for_transfer(msg.cache_name);
-  if (!data.ok()) {
-    reply.ok = false;
-    reply.error = data.error().to_string();
-    send_to_manager(reply);
-    return;
-  }
-  reply.ok = true;
-  send_to_manager(reply);
-  manager_->send_blob(msg.cache_name, std::move(data->first));
+    // Directories are archived on the fly and must go through memory.
+    VINE_TRY(auto data, cache_->read_for_transfer(reply.cache_name));
+    reply.is_dir = data.second;
+    reply.digest = md5_buffer(data.first);
+    return to.send_blob(proto::encode(reply), std::move(data.first));
+  }();
+  // Sent, or the connection is gone and nobody is left to tell.
+  if (sent.ok() || sent.error().code == Errc::unavailable) return;
+  // A miss, or the object raced an eviction: answer with the error, so the
+  // requester re-plans instead of waiting out its timeout.
+  proto::ObjMsg miss;
+  miss.request_id = std::move(reply.request_id);
+  miss.cache_name = std::move(reply.cache_name);
+  miss.error = sent.error().to_string();
+  (void)to.send_json(proto::encode(miss));
 }
 
 void Worker::handle_end_workflow() {
-  // Same extract-then-join discipline as stop(): never block under
-  // libraries_mutex_.
-  std::map<std::string, LibraryHost> hosts;
-  {
-    MutexLock lock(libraries_mutex_);
-    hosts.swap(libraries_);
-  }
-  for (auto& [_, host] : hosts) {
-    host.instance->stop();
-    if (host.pump.joinable()) host.pump.join();
-    remove_all_quiet(host.sandbox);
-  }
-  hosts.clear();
+  stop_libraries();
   {
     // Drop cancel marks whose fetches completed before the cancel arrived;
     // transfer ids are workflow-scoped so none can match later workflows.
@@ -685,81 +655,39 @@ void Worker::serve_get(Endpoint& peer, const proto::GetMsg& get) {
     peer.close();
     return;
   }
-
   proto::ObjMsg obj;
   obj.cache_name = get.cache_name;
-  auto info = cache_->serve_info(get.cache_name);
-  if (!info.ok()) {
-    obj.ok = false;
-    obj.error = info.error().to_string();
-    peer.send_json(proto::encode(obj));
-    return;
-  }
-  const bool stall = flt && faults::WorkerFaults::take(flt->stall_peer_serves);
-  // A stalled serve never ships its blob, so it must not consume a
-  // corruption injection (matches the order of the old serve loop).
-  const bool corrupt =
-      !stall && flt && faults::WorkerFaults::take(flt->corrupt_peer_blobs);
-
-  // Files go zero-copy: attest the memoized digest and let the reactor
-  // sendfile the object straight off disk. Directories (archived on the
-  // fly) and corruption injections (must flip a byte in transit) still
-  // stage the bytes in memory.
-  std::string staged;
-  const bool zero_copy = !info->is_dir && !corrupt;
-  if (zero_copy) {
-    obj.is_dir = false;
-    obj.digest = info->digest;
-  } else {
-    auto data = cache_->read_for_transfer(get.cache_name);
-    if (!data.ok()) {
-      obj.ok = false;
-      obj.error = data.error().to_string();
-      peer.send_json(proto::encode(obj));
+  // Stalls and corruptions are injected into serves of objects we hold; a
+  // stalled serve never ships its bytes, so it consumes no corruption.
+  if (flt && cache_->contains(get.cache_name)) {
+    if (faults::WorkerFaults::take(flt->stall_peer_serves)) {
+      // Injected stall: hold the connection and send nothing. The
+      // requester's transfer_io_timeout must unwedge it.
+      flt->injected.fetch_add(1);
+      const double until = clock_.now() + flt->stall_ms.load() / 1000.0;
+      while (!stopping_.load() && clock_.now() < until) {
+        std::this_thread::sleep_for(10ms);
+      }
+      peer.close();
       return;
     }
-    staged = std::move(data->first);
-    obj.is_dir = data->second;
-    // Attest the content so the receiver can reject in-flight corruption.
-    obj.digest = md5_buffer(staged);
-    if (corrupt) {
-      // Injected frame corruption: flip a byte after attesting the honest
-      // digest, so the receiver's verification catches it.
-      flt->injected.fetch_add(1);
-      if (!staged.empty()) staged[staged.size() / 2] ^= 0x40;
+    if (faults::WorkerFaults::take(flt->corrupt_peer_blobs)) {
+      auto data = cache_->read_for_transfer(get.cache_name);
+      if (data.ok()) {
+        // Injected corruption: flip a byte after attesting the honest
+        // digest, so the receiver's verification catches it.
+        flt->injected.fetch_add(1);
+        obj.ok = true;
+        obj.is_dir = data->second;
+        obj.digest = md5_buffer(data->first);
+        std::string& bytes = data->first;
+        if (!bytes.empty()) bytes[bytes.size() / 2] ^= 0x40;
+        (void)peer.send_blob(proto::encode(obj), std::move(bytes));
+        return;
+      }
     }
   }
-  obj.ok = true;
-
-  if (stall) {
-    // Injected mid-stream stall: the header goes out, the blob never
-    // does. The requester's transfer_io_timeout must unwedge it.
-    flt->injected.fetch_add(1);
-    peer.send_json(proto::encode(obj));
-    const double until = clock_.now() + flt->stall_ms.load() / 1000.0;
-    while (!stopping_.load() && clock_.now() < until) {
-      std::this_thread::sleep_for(10ms);
-    }
-    peer.close();
-    return;
-  }
-
-  peer.send_json(proto::encode(obj));
-  if (zero_copy) {
-    auto st = peer.send_blob_file(get.cache_name, info->path.string(),
-                                  static_cast<std::uint64_t>(info->size));
-    if (!st.ok()) {
-      // The header already promised a blob; the object raced an eviction
-      // or the disk failed. Drop the connection so the requester retries
-      // instead of waiting for a blob that will never come.
-      VINE_LOG_WARN("worker", "%s: blob serve of %s failed: %s",
-                    config_.id.c_str(), get.cache_name.c_str(),
-                    st.error().message.c_str());
-      peer.close();
-    }
-  } else {
-    peer.send_blob(get.cache_name, std::move(staged));
-  }
+  send_object(peer, std::move(obj));
 }
 
 }  // namespace vine

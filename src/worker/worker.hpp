@@ -61,9 +61,9 @@ struct WorkerConfig {
   /// only fires on genuinely hung workers. 0 disables heartbeats.
   int heartbeat_interval_ms = 1000;
 
-  /// Idle window for transfer-side reads (peer header/blob, manager put
-  /// blob): a peer that goes silent mid-transfer surfaces Errc::timeout
-  /// after this long instead of wedging a fetch thread.
+  /// Window for a peer fetch's reply frame, and for progress within any
+  /// frame on the peer connection: a peer that goes silent surfaces
+  /// Errc::timeout after this long instead of wedging a fetch thread.
   int transfer_io_timeout_ms = 60000;
 
   /// Peer/url fetch retries before reporting failure to the manager, with
@@ -118,7 +118,8 @@ class Worker {
 
   // --- manager message handling (control thread) ---
   void handle_frame(Frame frame);
-  void handle_put(const proto::PutMsg& msg);
+  /// Store the object a put carries in `frame` (a blob frame).
+  void handle_put(const proto::PutMsg& msg, const Frame& frame);
   void handle_fetch(const proto::FetchMsg& msg);
   void handle_mini_task(const proto::MiniTaskMsg& msg);
   void handle_run_task(const proto::RunTaskMsg& msg);
@@ -145,8 +146,9 @@ class Worker {
   /// True (and consumes the mark) when `transfer_id` was cancelled by the
   /// manager before the fetch got to run.
   bool take_cancel(const std::string& transfer_id);
-  /// One peer-fetch attempt: connect, GET, verify the attested digest,
-  /// store. do_fetch wraps this in the retry/backoff loop.
+  /// One peer-fetch attempt: connect, GET, take the one reply frame within
+  /// the io timeout, verify the attested digest, store. do_fetch wraps this
+  /// in the retry/backoff loop.
   Status fetch_from_peer(const proto::FetchMsg& msg);
   void do_mini_task(const proto::MiniTaskMsg& msg);
 
@@ -154,6 +156,17 @@ class Worker {
   void run_task(const proto::WireTask& task);
   void start_library(const proto::WireTask& task);
   void invoke_function_call(const proto::WireTask& task);
+  /// A library instance, its sandbox and its result pump.
+  struct LibraryHost {
+    std::unique_ptr<LibraryInstance> instance;
+    std::filesystem::path sandbox;
+    std::thread pump;
+  };
+  /// Stop a library instance, join its result pump and remove its sandbox.
+  /// Blocks on running calls, so never called under libraries_mutex_.
+  void retire_library(LibraryHost host);
+  /// Retire every library instance (worker stop, end of workflow).
+  void stop_libraries();
 
   // --- peer transfer service ---
   /// Listener acceptor: register a peer connection and route its frames
@@ -162,10 +175,14 @@ class Worker {
   /// Serve-pool job: one frame (or the death notification) from the peer
   /// connection registered as `peer_id`.
   void serve_frame(std::uint64_t peer_id, Result<Frame> frame);
-  /// Answer one GET on a peer connection (fault injection, digest
-  /// attestation, zero-copy blob send). Closes the connection when the
-  /// answer cannot be completed.
+  /// Answer one GET on a peer connection: the injected peer faults, then
+  /// send_object.
   void serve_get(Endpoint& peer, const proto::GetMsg& get);
+  /// Send cached object `reply.cache_name` on `to` as one blob frame: the
+  /// reply with its attested digest, then the bytes. Files go zero-copy;
+  /// directories are archived through read_for_transfer. A miss or a
+  /// failed read is answered with ok=false. Serves peers and send_file.
+  void send_object(Endpoint& to, proto::ObjMsg reply);
 
   WorkerConfig config_;
   std::unique_ptr<CacheStore> cache_;
@@ -188,16 +205,11 @@ class Worker {
   std::map<std::uint64_t, std::shared_ptr<Endpoint>> serve_peers_
       VINE_GUARDED_BY(peers_mutex_);
 
-  // Library instances by name, plus their sandboxes and result pumps.
-  struct LibraryHost {
-    std::unique_ptr<LibraryInstance> instance;
-    std::filesystem::path sandbox;
-    std::thread pump;
-  };
-  // Guards libraries_ (library starts race function-call dispatch).
-  // Instance stop/join runs on hosts extracted from the map first: joining
-  // a pump thread under the lock would be a blocking call under a lock
-  // (vine_analyze rule) and would wedge dispatch for its duration.
+  // Guards libraries_, the library instances by name (library starts race
+  // function-call dispatch). Instance stop/join runs on hosts extracted
+  // from the map first: joining a pump thread under the lock would be a
+  // blocking call under a lock (vine_analyze rule) and would wedge
+  // dispatch for its duration.
   Mutex libraries_mutex_{lock_rank::Rank::worker_libraries};
   std::map<std::string, LibraryHost> libraries_
       VINE_GUARDED_BY(libraries_mutex_);

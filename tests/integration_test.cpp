@@ -659,7 +659,7 @@ void check_thread_budget(bool tcp) {
     cfg.tweak_worker = [](WorkerConfig& wc) { wc.tcp_transfer_service = true; };
     // The reactor is process-wide and started on first use; count it in
     // the baseline so only the cluster's own threads are measured.
-    ReactorPool::instance();
+    Reactor::instance();
   }
   const int before = thread_count();
   auto cluster = LocalCluster::create(cfg);

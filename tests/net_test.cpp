@@ -10,6 +10,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "accept_queue.hpp"
 #include "common/uuid.hpp"
+#include "frame_queue.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
 #include "net/msg_queue.hpp"
@@ -135,38 +138,61 @@ TEST(FrameTest, JsonFrameRoundTrip) {
   o["id"] = 42;
   Frame f = Frame::make_json(json::Value(o));
   auto wire = encode_frame(f);
-  auto back = decode_frame_payload(wire[4], wire.substr(5));
+  auto back = decode_frame_view(wire[4], std::string_view(wire).substr(5));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->kind, Frame::Kind::json);
   EXPECT_EQ(back->msg.get_int("id"), 42);
 }
 
+json::Value named(const std::string& name) {
+  return json::Value(json::Object{{"name", json::Value(name)}});
+}
+
 TEST(FrameTest, BlobFrameRoundTrip) {
   std::string data(100000, '\0');
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i * 13);
-  Frame f = Frame::make_blob("md5-abc123", data);
+  Frame f = Frame::make_blob(named("md5-abc123"), data);
   auto wire = encode_frame(f);
-  auto back = decode_frame_payload(wire[4], wire.substr(5));
+  auto back = decode_frame_view(wire[4], std::string_view(wire).substr(5));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->kind, Frame::Kind::blob);
-  EXPECT_EQ(back->tag, "md5-abc123");
+  EXPECT_EQ(back->msg.get_string("name"), "md5-abc123");
   EXPECT_EQ(back->data, data);
 }
 
 TEST(FrameTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(decode_frame_payload('J', "not json").ok());
-  EXPECT_FALSE(decode_frame_payload('B', "abc").ok());  // too short for tag len
-  EXPECT_FALSE(decode_frame_payload('X', "{}").ok());   // unknown kind
-  // tag length larger than payload
+  EXPECT_FALSE(decode_frame_view('J', "not json").ok());
+  EXPECT_FALSE(decode_frame_view('B', "abc").ok());  // too short for msg len
+  EXPECT_FALSE(decode_frame_view('X', "{}").ok());   // unknown kind
+  // message length larger than payload
   std::string bad = std::string("\xff\xff\xff\x7f", 4) + "x";
-  EXPECT_FALSE(decode_frame_payload('B', bad).ok());
+  EXPECT_FALSE(decode_frame_view('B', bad).ok());
+}
+
+TEST(FrameTest, DecodeRejectsBadBlobMessage) {
+  auto blob_payload = [](std::uint32_t msg_len, const std::string& rest) {
+    std::string p(4, '\0');
+    write_u32(p.data(), msg_len);
+    return p + rest;
+  };
+  // The message length runs one byte past the payload.
+  const std::string msg = "{\"name\":\"a\"}";
+  EXPECT_TRUE(decode_frame_view('B', blob_payload(msg.size(), msg)).ok());
+  auto past = decode_frame_view('B', blob_payload(msg.size() + 1, msg));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.error().code, Errc::parse_error);
+  // The message is not JSON, though bytes follow it.
+  auto not_json = decode_frame_view('B', blob_payload(7, "garbagebytes"));
+  ASSERT_FALSE(not_json.ok());
+  EXPECT_EQ(not_json.error().code, Errc::parse_error);
 }
 
 TEST(FrameTest, EmptyBlobAllowed) {
-  Frame f = Frame::make_blob("t", "");
+  Frame f = Frame::make_blob(named("t"), "");
   auto wire = encode_frame(f);
-  auto back = decode_frame_payload(wire[4], wire.substr(5));
+  auto back = decode_frame_view(wire[4], std::string_view(wire).substr(5));
   ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->msg.get_string("name"), "t");
   EXPECT_EQ(back->data, "");
 }
 
@@ -251,9 +277,11 @@ TEST_P(TransportTest, ConnectSendReceive) {
   json::Object o;
   o["type"] = "hello";
   o["cores"] = 4;
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
   ASSERT_TRUE(client->send_json(json::Value(o)).ok());
 
-  auto f = server->recv(2000ms);
+  auto f = rx.next(2000ms);
   ASSERT_TRUE(f.ok()) << f.error().to_string();
   EXPECT_EQ(f->msg.get_string("type"), "hello");
   EXPECT_EQ(f->msg.get_int("cores"), 4);
@@ -262,10 +290,13 @@ TEST_P(TransportTest, ConnectSendReceive) {
 TEST_P(TransportTest, BidirectionalTraffic) {
   auto [client, server] = connect_pair();
   ASSERT_TRUE(client && server);
+  FrameQueue at_server, at_client;
+  server->set_receiver(at_server.receiver());
+  client->set_receiver(at_client.receiver());
   ASSERT_TRUE(client->send_json(json::Value(json::Object{{"n", json::Value(1)}})).ok());
   ASSERT_TRUE(server->send_json(json::Value(json::Object{{"n", json::Value(2)}})).ok());
-  EXPECT_EQ(server->recv(2000ms)->msg.get_int("n"), 1);
-  EXPECT_EQ(client->recv(2000ms)->msg.get_int("n"), 2);
+  EXPECT_EQ(at_server.next(2000ms)->msg.get_int("n"), 1);
+  EXPECT_EQ(at_client.next(2000ms)->msg.get_int("n"), 2);
 }
 
 TEST_P(TransportTest, LargeBlobTransfer) {
@@ -274,18 +305,59 @@ TEST_P(TransportTest, LargeBlobTransfer) {
   std::string big(5 * 1024 * 1024, '\0');
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 31);
 
-  std::thread sender([&] { ASSERT_TRUE(client->send_blob("big", big).ok()); });
-  auto f = server->recv(10000ms);
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
+  std::thread sender([&] { ASSERT_TRUE(client->send_blob(named("big"), big).ok()); });
+  auto f = rx.next(10000ms);
   sender.join();
   ASSERT_TRUE(f.ok()) << f.error().to_string();
-  EXPECT_EQ(f->tag, "big");
+  EXPECT_EQ(f->msg.get_string("name"), "big");
   EXPECT_EQ(f->data, big);
+}
+
+TEST_P(TransportTest, BlobFrameCarriesMessageAndBytes) {
+  // One frame per object: the message and its bytes arrive together,
+  // whether the bytes are sent from memory or straight from a file.
+  auto [client, server] = connect_pair();
+  ASSERT_TRUE(client && server);
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("vine-net-test-" + generate_token(8));
+  for (std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{8} << 20}) {
+    std::string bytes(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<char>(i * 7 + (i >> 11));
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(size));
+    }
+    const json::Value msg(json::Object{{"name", json::Value("obj")},
+                                       {"size", json::Value(size)}});
+    ASSERT_TRUE(client->send_blob(msg, bytes).ok());
+    ASSERT_TRUE(client->send_blob_file(msg, path.string(), size).ok());
+    // Both frames are in before the next size rewrites the file.
+    for (const char* how : {"send_blob", "send_blob_file"}) {
+      auto f = rx.next(10000ms);
+      ASSERT_TRUE(f.ok()) << how << " " << size << ": " << f.error().to_string();
+      EXPECT_EQ(f->kind, Frame::Kind::blob) << how;
+      EXPECT_EQ(f->msg.get_string("name"), "obj") << how;
+      EXPECT_EQ(f->msg.get_int("size"), static_cast<std::int64_t>(size)) << how;
+      ASSERT_EQ(f->data.size(), size) << how;
+      EXPECT_TRUE(f->data == bytes) << how;  // EXPECT_EQ would print 8 MiB
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 TEST_P(TransportTest, ManyFramesInOrder) {
   auto [client, server] = connect_pair();
   ASSERT_TRUE(client && server);
   constexpr int kN = 200;
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
   std::thread sender([&] {
     for (int i = 0; i < kN; ++i) {
       ASSERT_TRUE(
@@ -293,7 +365,7 @@ TEST_P(TransportTest, ManyFramesInOrder) {
     }
   });
   for (int i = 0; i < kN; ++i) {
-    auto f = server->recv(2000ms);
+    auto f = rx.next(2000ms);
     ASSERT_TRUE(f.ok());
     EXPECT_EQ(f->msg.get_int("i"), i);
   }
@@ -303,7 +375,9 @@ TEST_P(TransportTest, ManyFramesInOrder) {
 TEST_P(TransportTest, RecvTimesOutWhenIdle) {
   auto [client, server] = connect_pair();
   ASSERT_TRUE(client && server);
-  auto f = server->recv(50ms);
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
+  auto f = rx.next(50ms);
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.error().code, Errc::timeout);
 }
@@ -311,8 +385,10 @@ TEST_P(TransportTest, RecvTimesOutWhenIdle) {
 TEST_P(TransportTest, CloseUnblocksPeer) {
   auto [client, server] = connect_pair();
   ASSERT_TRUE(client && server);
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
   client->close();
-  auto f = server->recv(2000ms);
+  auto f = rx.next(2000ms);
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.error().code, Errc::unavailable);
 }
@@ -347,7 +423,9 @@ TEST_P(TransportTest, MultipleClients) {
   }
   std::vector<bool> seen(kClients, false);
   for (auto& s : servers) {
-    auto f = s->recv(2000ms);
+    FrameQueue rx;
+    s->set_receiver(rx.receiver());
+    auto f = rx.next(2000ms);
     ASSERT_TRUE(f.ok());
     seen[static_cast<std::size_t>(f->msg.get_int("id"))] = true;
   }
@@ -534,7 +612,7 @@ TEST(ConnectTo, BadTcpAddressFails) {
 
 TEST(TcpTimeout, DeadSilentPeerSurfacesTimeout) {
   // A peer that connects and never writes anything must surface
-  // Errc::timeout from recv() promptly, not block forever.
+  // Errc::timeout to a waiting reader promptly, not block forever.
   AcceptQueue accepted;
   auto listener = tcp_listen(0, accepted.acceptor());
   ASSERT_TRUE(listener.ok());
@@ -543,8 +621,10 @@ TEST(TcpTimeout, DeadSilentPeerSurfacesTimeout) {
   auto server = accepted.next(1000ms);
   ASSERT_TRUE(server);
 
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
   auto start = std::chrono::steady_clock::now();
-  auto r = server->recv(200ms);
+  auto r = rx.next(200ms);
   auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::timeout);
@@ -577,6 +657,8 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
   auto server = accepted.next(1000ms);
   ASSERT_TRUE(server);
   server->set_io_timeout(150ms);
+  FrameQueue rx;
+  server->set_receiver(rx.receiver());
 
   // u32 LE payload length (100) + kind 'J' — then silence.
   const char header[5] = {'\x64', '\x00', '\x00', '\x00', 'J'};
@@ -584,7 +666,7 @@ TEST(TcpTimeout, MidFrameStallSurfacesTimeoutNotWedge) {
             static_cast<ssize_t>(sizeof(header)));
 
   auto start = std::chrono::steady_clock::now();
-  auto r = server->recv(5000ms);
+  auto r = rx.next(5000ms);
   auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::timeout);

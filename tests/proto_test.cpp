@@ -158,15 +158,19 @@ TEST(Proto, LibraryReadyRoundTrip) {
   EXPECT_EQ(back.functions, (std::vector<std::string>{"gradient", "loss"}));
 }
 
-TEST(Proto, FileDataAndGetAndObj) {
-  auto fd = round_trip(FileDataMsg{"req-1", "md5-q", true, ""});
-  EXPECT_EQ(fd.request_id, "req-1");
-  EXPECT_TRUE(fd.ok);
+TEST(Proto, GetAndObjRoundTrip) {
+  // A send_file reply is an obj that echoes the request id.
+  auto reply = round_trip(ObjMsg{"req-1", "md5-q", true, false, ""});
+  EXPECT_EQ(reply.request_id, "req-1");
+  EXPECT_EQ(reply.cache_name, "md5-q");
+  EXPECT_TRUE(reply.ok);
 
   auto get = round_trip(GetMsg{"md5-q"});
   EXPECT_EQ(get.cache_name, "md5-q");
 
-  auto obj = round_trip(ObjMsg{"md5-q", true, true, ""});
+  // A peer serve leaves the request id empty.
+  auto obj = round_trip(ObjMsg{"", "md5-q", true, true, ""});
+  EXPECT_TRUE(obj.request_id.empty());
   EXPECT_TRUE(obj.is_dir);
 }
 
@@ -185,7 +189,7 @@ TEST(Proto, ObjDigestRoundTrip) {
 
   // Digest is optional: an empty one must survive the trip as empty
   // (old senders that don't attest stay compatible).
-  auto bare = round_trip(ObjMsg{"md5-q", true, false, ""});
+  auto bare = round_trip(ObjMsg{"", "md5-q", true, false, ""});
   EXPECT_TRUE(bare.digest.empty());
 }
 

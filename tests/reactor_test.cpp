@@ -1,5 +1,5 @@
 // Edge-case tests for the epoll reactor data plane (src/net/reactor.cpp):
-// zero-copy blob serves, the pread+writev fallback, mid-serve half-close,
+// zero-copy blob serves, mid-serve half-close,
 // EPOLLOUT backpressure against a slow reader, and connect timeouts.
 // Protocol-level behaviour shared with the channel transport lives in
 // net_test.cpp; everything here is specific to the reactor's socket I/O.
@@ -21,6 +21,7 @@
 
 #include "accept_queue.hpp"
 #include "common/uuid.hpp"
+#include "frame_queue.hpp"
 #include "net/frame.hpp"
 #include "net/reactor.hpp"
 #include "net/tcp.hpp"
@@ -62,18 +63,6 @@ class TempBlobFile {
   std::uint64_t size_ = 0;
 };
 
-// Restores the sendfile toggle even when an assertion bails out mid-test.
-class SendfileGuard {
- public:
-  explicit SendfileGuard(bool on) : prev_(sendfile_enabled()) {
-    set_sendfile_enabled(on);
-  }
-  ~SendfileGuard() { set_sendfile_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 int open_fd_count() {
   int n = 0;
   DIR* d = ::opendir("/proc/self/fd");
@@ -81,6 +70,10 @@ int open_fd_count() {
   while (::readdir(d) != nullptr) ++n;
   ::closedir(d);
   return n;
+}
+
+json::Value named(const std::string& name) {
+  return json::Value(json::Object{{"name", json::Value(name)}});
 }
 
 struct Pair {
@@ -111,11 +104,13 @@ void blob_file_roundtrip(std::size_t bytes) {
   Pair p = make_pair();
   ASSERT_TRUE(p.server && p.client);
 
-  ASSERT_TRUE(p.server->send_blob_file("blob-a", file.path(), file.size()).ok());
-  auto got = p.client->recv(5000ms);
+  FrameQueue rx;
+  p.client->set_receiver(rx.receiver());
+  ASSERT_TRUE(p.server->send_blob_file(named("blob-a"), file.path(), file.size()).ok());
+  auto got = rx.next(5000ms);
   ASSERT_TRUE(got.ok()) << got.error().message;
   EXPECT_EQ(got->kind, Frame::Kind::blob);
-  EXPECT_EQ(got->tag, "blob-a");
+  EXPECT_EQ(got->msg.get_string("name"), "blob-a");
   ASSERT_EQ(got->data.size(), payload.size());
   EXPECT_TRUE(got->data == payload);  // EXPECT_EQ would print 8 MB on failure
 }
@@ -124,12 +119,6 @@ void blob_file_roundtrip(std::size_t bytes) {
 
 TEST(ReactorEdge, SendBlobFileDeliversExactBytes) {
   // 8 MB spans many sendfile calls and several socket-buffer drains.
-  blob_file_roundtrip(8u * 1024 * 1024);
-}
-
-TEST(ReactorEdge, SendfileDisabledFallbackIsByteIdentical) {
-  SendfileGuard guard(false);
-  ASSERT_FALSE(sendfile_enabled());
   blob_file_roundtrip(8u * 1024 * 1024);
 }
 
@@ -154,13 +143,15 @@ TEST(ReactorEdge, HalfCloseDuringBlobServeTearsDownCleanly) {
   for (int round = 0; round < 8; ++round) {
     Pair p = make_pair();
     ASSERT_TRUE(p.server && p.client);
+    FrameQueue rx;
+    p.server->set_receiver(rx.receiver());
     p.client->close();
     // Depending on when the reactor notices the RST, the send itself may
     // already report death; otherwise it queues and death surfaces via
-    // recv. Either way: unavailable, promptly, never a wedge.
-    Status sent = p.server->send_blob_file("gone", file.path(), file.size());
+    // the receiver. Either way: unavailable, promptly, never a wedge.
+    Status sent = p.server->send_blob_file(named("gone"), file.path(), file.size());
     if (sent.ok()) {
-      auto r = p.server->recv(5000ms);
+      auto r = rx.next(5000ms);
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.error().code, Errc::unavailable);
     } else {
@@ -183,17 +174,20 @@ TEST(ReactorEdge, ReadShutdownPeerStillDrainsQueuedWrites) {
   Pair p = make_pair();
   ASSERT_TRUE(p.server && p.client);
 
+  FrameQueue at_server, at_client;
+  p.server->set_receiver(at_server.receiver());
+  p.client->set_receiver(at_client.receiver());
   const std::string payload = pattern_bytes(2u * 1024 * 1024);
-  ASSERT_TRUE(p.server->send_blob("still-coming", payload).ok());
+  ASSERT_TRUE(p.server->send_blob(named("still-coming"), payload).ok());
   // Client half-closes its send direction only.
-  ASSERT_TRUE(p.client->send_blob("last-word", "x").ok());
-  auto last = p.server->recv(2000ms);
+  ASSERT_TRUE(p.client->send_blob(named("last-word"), "x").ok());
+  auto last = at_server.next(2000ms);
   ASSERT_TRUE(last.ok());
-  EXPECT_EQ(last->tag, "last-word");
+  EXPECT_EQ(last->msg.get_string("name"), "last-word");
 
-  auto got = p.client->recv(5000ms);
+  auto got = at_client.next(5000ms);
   ASSERT_TRUE(got.ok()) << got.error().message;
-  EXPECT_EQ(got->tag, "still-coming");
+  EXPECT_EQ(got->msg.get_string("name"), "still-coming");
   EXPECT_TRUE(got->data == payload);
 }
 
@@ -207,21 +201,23 @@ TEST(ReactorEdge, BackpressureSlowReaderDrainsInOrder) {
   constexpr std::size_t kBlob = 1u * 1024 * 1024;
   Pair p = make_pair();
   ASSERT_TRUE(p.server && p.client);
+  FrameQueue rx;
+  p.client->set_receiver(rx.receiver());
 
   std::thread sender([&] {
     for (int i = 0; i < kFrames; ++i) {
       std::string data = pattern_bytes(kBlob);
       data[0] = static_cast<char>(i);  // frame identity in byte 0
-      ASSERT_TRUE(p.server->send_blob("bp-" + std::to_string(i),
+      ASSERT_TRUE(p.server->send_blob(named("bp-" + std::to_string(i)),
                                       std::move(data)).ok());
     }
   });
 
   std::this_thread::sleep_for(300ms);  // let the write queue pile up
   for (int i = 0; i < kFrames; ++i) {
-    auto got = p.client->recv(10000ms);
+    auto got = rx.next(10000ms);
     ASSERT_TRUE(got.ok()) << "frame " << i << ": " << got.error().message;
-    EXPECT_EQ(got->tag, "bp-" + std::to_string(i));
+    EXPECT_EQ(got->msg.get_string("name"), "bp-" + std::to_string(i));
     ASSERT_EQ(got->data.size(), kBlob);
     EXPECT_EQ(got->data[0], static_cast<char>(i));
   }

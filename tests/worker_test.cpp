@@ -6,6 +6,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "archive/vpak.hpp"
 #include "common/uuid.hpp"
@@ -216,6 +217,38 @@ TEST_F(ExecutorTest, TimeoutKillsTask) {
   EXPECT_FALSE(out.ok);
   EXPECT_LT(elapsed, 5s);
   EXPECT_NE(out.error.find("wall-time"), std::string::npos);
+}
+
+TEST_F(ExecutorTest, LimitKillReachesBackgroundChildren) {
+  // A limit kill takes the command's whole process group: a child the
+  // shell put in the background must not outlive the task.
+  const auto pid_file = tmp_.path() / "bg.pid";
+  auto t = command_task("sleep 30 & echo $! > " + pid_file.string() + "; sleep 30");
+  t.timeout_seconds = 0.2;
+  auto out = exec_->execute(t);
+  EXPECT_FALSE(out.ok);
+  EXPECT_NE(out.error.find("wall-time"), std::string::npos);
+  long pid = 0;
+  {
+    std::ifstream in(pid_file);
+    ASSERT_TRUE(in >> pid) << "the shell never recorded its background pid";
+  }
+  // Gone, or a zombie nobody has reaped yet: either way it no longer runs.
+  // (kill(-pgid, 0) cannot tell: it succeeds on unreaped zombies.)
+  const std::string stat_path = "/proc/" + std::to_string(pid) + "/stat";
+  auto stopped = [&] {
+    std::ifstream stat(stat_path);
+    std::string line;
+    if (!std::getline(stat, line)) return true;
+    const auto paren = line.rfind(')');
+    return paren != std::string::npos && paren + 2 < line.size() &&
+           line[paren + 2] == 'Z';
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 1s;
+  while (!stopped() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_TRUE(stopped()) << "background pid " << pid << " survived the kill";
 }
 
 TEST_F(ExecutorTest, DiskOverageKillsTask) {

@@ -32,6 +32,9 @@
 //   fixed-sleep      sleep_for / sleep_until outside sim/: a thread that
 //                    sleeps a fixed time where it could wait on the event
 //                    (a child's exit, a queue, a deadline on a condvar)
+//   env-knob         getenv(): an environment variable is a setting no
+//                    config carries, no test sets and no review sees;
+//                    behaviour belongs in a config field or nowhere
 //
 // Findings can be vetted via an allowlist file where every entry carries a
 // justification (see tools/vine_lint_allowlist.txt). Exit status is nonzero
@@ -455,6 +458,19 @@ void scan_file(const fs::path& file, const std::string& rel,
                 std::string(fn) +
                     "() outside sim/; wait on the event or a condvar deadline");
           }
+        }
+      }
+    }
+
+    // env-knob: every setting lives in a config struct the caller passes;
+    // a variable read from the environment is a hidden second path.
+    {
+      std::size_t pos = 0;
+      if (find_token(c, "getenv", &pos)) {
+        std::size_t after = pos + std::string("getenv").size();
+        if (after < c.size() && c[after] == '(') {
+          add(i, "env-knob",
+              "getenv() reads a hidden setting; pass it in a config field");
         }
       }
     }
